@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Figure targets: table2, fig10, fig11, fig12, fig13, fig14, q4, locality,
-//! baseline, ablation-mvcc, ablation-edges, fast-restart, fanout, ingest,
-//! wire, morsel, serve, cache, fetch, sim, all.
+//! baseline, ablation-mvcc, ablation-edges, fast-restart, ingest, wire,
+//! serve, cache, sim, all.
 //!
 //! Simulation targets (deterministic fault injection, crates/sim):
 //!
@@ -21,25 +21,22 @@
 //!
 //! Flags:
 //!
-//! * `--json` — run the perf-trajectory suites (real wall-clock latency of
-//!   Q1/Q4 under the serial and parallel coordinator, ingest throughput:
-//!   single-op vs group-commit vs partition-parallel, the wire suite:
-//!   codec micro-bench + bytes-on-wire, binary vs JSON, the intra
-//!   suite: serial vs morsel-parallel work ops on hub-skewed and uniform
-//!   frontiers, the serve suite: open-loop Poisson load against the
-//!   admission-controlled front door, and the cache suite: hot-vertex read
-//!   cache vs bypass on a hub-skewed repeated-read workload under churn,
-//!   the fetch suite: scalar vs doorbell-batched one-sided reads on the
-//!   inline-fetch path under churn, and the sim suite: the deterministic
+//! * `--json` — run the perf-trajectory suites (ingest throughput:
+//!   single-op vs group-commit vs partition-parallel, the wire suite: codec
+//!   micro-bench + bytes-on-wire, binary vs JSON, the serve suite: open-loop
+//!   Poisson load against the admission-controlled front door, the cache
+//!   suite: hot-vertex read cache vs bypass on a hub-skewed repeated-read
+//!   workload under churn, and the sim suite: the deterministic
 //!   fault-scenario catalog with its replayability check) and print one
-//!   JSON document (schema `a1-bench-v8`) to stdout. CI uploads this as an
-//!   artifact; `BENCH_<n>.json` snapshots are committed at the repo root.
+//!   JSON document (schema `a1-bench-v9`) to stdout. CI uploads this as an
+//!   artifact; the `BENCH_<n>.json` snapshots at the repo root are history
+//!   from earlier schemas.
 //! * `--validate <file>` — check a `--json` artifact against the
-//!   `a1-bench-v8` schema; exits 2 with a diagnostic on violation.
+//!   `a1-bench-v9` schema; exits 2 with a diagnostic on violation.
 //! * `--quick` — smaller workload + fewer iterations (CI-speed).
 //! * `--fig14-scale N` — divisor applied to the paper's Figure 14 dataset.
 
-use a1_bench::{cache, fetch, figures, ingest, loadgen, morsel, perf, sim, validate, wire};
+use a1_bench::{cache, figures, ingest, loadgen, sim, validate, wire};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -120,50 +117,33 @@ fn main() {
     let target = target.unwrap_or_else(|| "all".to_string());
 
     if json {
-        let results = perf::run_suite(quick);
-        let ingest_results = ingest::run_ingest_suite(quick);
-        let wire_results = wire::run_wire_suite(quick);
-        let morsel_results = morsel::run_morsel_suite(quick);
-        let serve_results = loadgen::run_serve_suite(quick);
-        let cache_results = cache::run_cache_suite(quick);
-        let fetch_results = fetch::run_fetch_suite(quick);
-        let sim_results = sim::run_sim_suite(quick);
         // One document carrying all suites, so the perf-trajectory CI job
-        // tracks wire bytes, ingest throughput, morsel speedup and serving
-        // headroom alongside Q1/Q4 latency.
-        let mut doc = match perf::suite_to_json(&results, quick) {
-            a1_core::Json::Obj(mut fields) => {
-                for (k, v) in fields.iter_mut() {
-                    if k == "schema" {
-                        *v = a1_core::Json::str(validate::SCHEMA);
-                    }
-                }
-                fields
-            }
-            other => vec![("results".to_string(), other)],
-        };
-        doc.push((
-            "ingest".to_string(),
-            ingest::ingest_suite_to_json(&ingest_results),
-        ));
-        doc.push(("wire".to_string(), wire::wire_suite_to_json(&wire_results)));
-        doc.push((
-            "intra".to_string(),
-            morsel::morsel_suite_to_json(&morsel_results),
-        ));
-        doc.push((
-            "serve".to_string(),
-            loadgen::serve_suite_to_json(&serve_results),
-        ));
-        doc.push((
-            "cache".to_string(),
-            cache::cache_suite_to_json(&cache_results),
-        ));
-        doc.push((
-            "fetch".to_string(),
-            fetch::fetch_suite_to_json(&fetch_results),
-        ));
-        doc.push(("sim".to_string(), sim::sim_suite_to_json(&sim_results)));
+        // tracks wire bytes, ingest throughput and serving headroom
+        // together.
+        let doc = vec![
+            ("schema".to_string(), a1_core::Json::str(validate::SCHEMA)),
+            ("quick".to_string(), a1_core::Json::Bool(quick)),
+            (
+                "ingest".to_string(),
+                ingest::ingest_suite_to_json(&ingest::run_ingest_suite(quick)),
+            ),
+            (
+                "wire".to_string(),
+                wire::wire_suite_to_json(&wire::run_wire_suite(quick)),
+            ),
+            (
+                "serve".to_string(),
+                loadgen::serve_suite_to_json(&loadgen::run_serve_suite(quick)),
+            ),
+            (
+                "cache".to_string(),
+                cache::cache_suite_to_json(&cache::run_cache_suite(quick)),
+            ),
+            (
+                "sim".to_string(),
+                sim::sim_suite_to_json(&sim::run_sim_suite(quick)),
+            ),
+        ];
         let doc = a1_core::Json::Obj(doc);
         // The emitter must always satisfy its own `--validate` contract.
         if let Err(e) = validate::validate_doc(&doc) {
@@ -188,13 +168,10 @@ fn main() {
             "ablation-mvcc" => Some(figures::ablation_mvcc()),
             "ablation-edges" => Some(figures::ablation_edges()),
             "fast-restart" => Some(figures::fast_restart()),
-            "fanout" => Some(perf::fanout_report(quick)),
             "ingest" => Some(ingest::ingest_report(quick)),
             "wire" => Some(wire::wire_report(quick)),
-            "morsel" => Some(morsel::morsel_report(quick)),
             "serve" => Some(loadgen::serve_report(quick)),
             "cache" => Some(cache::cache_report(quick)),
-            "fetch" => Some(fetch::fetch_report(quick)),
             "sim" => Some(sim::sim_report(quick)),
             _ => None,
         }
@@ -213,13 +190,10 @@ fn main() {
         "ablation-mvcc",
         "ablation-edges",
         "fast-restart",
-        "fanout",
         "ingest",
         "wire",
-        "morsel",
         "serve",
         "cache",
-        "fetch",
         "sim",
     ];
     if target == "all" {

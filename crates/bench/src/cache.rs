@@ -23,8 +23,8 @@
 //!
 //! [`CacheConfig::bypass_clients`]: a1_core::CacheConfig::bypass_clients
 
-use crate::perf::percentile;
-use a1_core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation};
+use crate::workload::percentile;
+use a1_core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation, QueryOutcome};
 use a1_farm::LatencyModel;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,6 +72,30 @@ impl CacheGraphSpec {
             payload_bytes: 12288,
         }
     }
+
+    /// The reference answers: what [`render`] must give for
+    /// [`count_query`] and [`rows_query`] on this spec's graph —
+    /// [`build_graph`] gives every hub rank 1 and a `fan` edge from the
+    /// root, so all of them count and all their `id`s are emitted.
+    pub fn reference(&self) -> [String; 2] {
+        let rows: Vec<String> = (0..self.hubs)
+            .map(|i| Json::obj(vec![("id", Json::str(&format!("hub{i:04}")))]).to_string())
+            .collect();
+        [format!("count:{}", self.hubs), rows.join("|")]
+    }
+}
+
+/// Render an outcome order-independently (merge order is not part of the
+/// answer): `count:N`, or the rows' JSON sorted and joined by `|`.
+pub fn render(out: &QueryOutcome) -> String {
+    match out.count {
+        Some(c) => format!("count:{c}"),
+        None => {
+            let mut rows: Vec<String> = out.rows.iter().map(Json::to_string).collect();
+            rows.sort();
+            rows.join("|")
+        }
+    }
 }
 
 /// The suite's latency model: the rack round trip dominates small reads and
@@ -90,23 +114,21 @@ fn cache_latency() -> LatencyModel {
 }
 
 /// A cluster configured for the suite. Shipping is disabled
-/// (`ShipPolicy::Fixed(MAX)`) so the coordinator executes every hop inline
+/// (`ship_threshold = MAX`) so the coordinator executes every hop inline
 /// against remote memory — the read pattern the per-machine cache
 /// accelerates — and the `uncached` client id bypasses the cache for the
 /// A/B baseline.
 pub fn suite_config() -> A1Config {
-    let mut cfg = A1Config::small(4)
-        .with_cache(CacheConfig {
-            enabled: true,
-            capacity_bytes: 64 << 20,
-            bypass_clients: vec![UNCACHED_CLIENT.to_string()],
-        })
-        // Serial work-op loop: the suite isolates *per-read* cost (probe vs
-        // header+payload pair), and morsel splitting would bury it under
-        // per-morsel transaction setup — overlap has its own suite.
-        .with_intra_parallelism(1);
-    cfg.exec.ship_policy = a1_core::query::ShipPolicy::Fixed(usize::MAX);
-    cfg.farm.fabric.threads_per_machine = 8;
+    let mut cfg = A1Config::small(4).with_cache(CacheConfig {
+        enabled: true,
+        capacity_bytes: 64 << 20,
+        bypass_clients: vec![UNCACHED_CLIENT.to_string()],
+    });
+    cfg.exec.ship_threshold = usize::MAX;
+    // One simulated core per machine keeps the hub batch in one morsel: the
+    // suite isolates *per-read* cost (probe vs header+payload pair), which
+    // morsel splitting would bury under per-morsel transaction setup.
+    cfg.farm.fabric.threads_per_machine = 1;
     cfg.farm.fabric.latency = cache_latency();
     cfg
 }
@@ -235,12 +257,6 @@ pub struct CacheSuite {
     pub churn_batches: u64,
 }
 
-fn sorted_rows(rows: &[Json]) -> String {
-    let mut texts: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
-    texts.sort();
-    texts.join(",")
-}
-
 /// Run the suite: interleaved cached/uncached queries against one cluster
 /// while a churn thread rewrites hub payloads through the batch-apply
 /// ingest path (exercising write-side invalidation + revalidation, not
@@ -328,7 +344,7 @@ pub fn run_cache_suite(quick: bool) -> CacheSuite {
             // Byte-identity under churn: same committed state, same rows.
             let cr = coord(CACHED_CLIENT, &rows_q);
             let ur = coord(UNCACHED_CLIENT, &rows_q);
-            if sorted_rows(&cr.rows) != sorted_rows(&ur.rows) {
+            if render(&cr) != render(&ur) {
                 answers_identical = false;
             }
         }

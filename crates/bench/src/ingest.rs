@@ -15,7 +15,7 @@
 //!
 //! After the measured phase every cluster must answer the same
 //! secondary-index count query identically — the suite doubles as a
-//! correctness gate, like the fan-out suite in [`crate::perf`].
+//! correctness gate.
 
 use a1_core::{A1Client, A1Cluster, A1Config, Json, Mutation};
 use a1_farm::LatencyModel;

@@ -20,8 +20,7 @@
 //! front door enabled, so past saturation requests are shed with structured
 //! `Overloaded` rejections instead of queueing without bound.
 
-use crate::perf::{measured_latency, spec};
-use crate::workload::{KnowledgeGraph, GRAPH, TENANT};
+use crate::workload::{measured_latency, suite_spec, KnowledgeGraph, GRAPH, TENANT};
 use a1_core::{A1Config, A1Error, AdmissionConfig, Json, QueryOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -278,7 +277,7 @@ pub fn run_serve_suite(quick: bool) -> ServeSuite {
         ..AdmissionConfig::default()
     };
     // Load fast (no injection), then measure with wall-clock injection.
-    let kg = KnowledgeGraph::load(cfg, spec(quick));
+    let kg = KnowledgeGraph::load(cfg, suite_spec(quick));
     for i in 0..INGEST_KEYS {
         kg.client
             .create_vertex(

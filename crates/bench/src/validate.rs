@@ -1,4 +1,4 @@
-//! Schema validation for the `--json` perf document (`a1-bench-v8`).
+//! Schema validation for the `--json` perf document (`a1-bench-v9`).
 //!
 //! CI used to pipe the artifact through `python3 -m json.tool`, which only
 //! proved it parsed. `experiments --validate <file>` checks the actual
@@ -9,7 +9,7 @@
 use a1_core::Json;
 
 /// The schema tag the current `--json` output carries.
-pub const SCHEMA: &str = "a1-bench-v8";
+pub const SCHEMA: &str = "a1-bench-v9";
 
 fn require<'a>(j: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
     j.get(key)
@@ -43,7 +43,7 @@ fn each_has_nums(items: &[Json], fields: &[&str], ctx: &str) -> Result<(), Strin
     Ok(())
 }
 
-/// Validate one `--json` document against the `a1-bench-v8` contract.
+/// Validate one `--json` document against the `a1-bench-v9` contract.
 /// Returns a human-readable error naming the first violation.
 pub fn validate_doc(doc: &Json) -> Result<(), String> {
     let schema = require(doc, "schema", "document")?
@@ -58,26 +58,6 @@ pub fn validate_doc(doc: &Json) -> Result<(), String> {
         Json::Bool(_) => {}
         other => return Err(format!("document: 'quick' must be a bool, got {other}")),
     }
-
-    // Q1/Q4 latency results (the original perf suite).
-    let results = require_arr(doc, "results", "document")?;
-    if results.is_empty() {
-        return Err("document: 'results' must not be empty".into());
-    }
-    each_has_nums(
-        results,
-        &[
-            "machines",
-            "fanout_parallelism",
-            "iters",
-            "p50_latency_ns",
-            "p99_latency_ns",
-            "avg_latency_ns",
-            "throughput_qps",
-            "result",
-        ],
-        "results",
-    )?;
 
     // Ingest suite: one entry per mode (single-op / group-commit / parallel).
     let ingest = require_arr(doc, "ingest", "document")?;
@@ -101,15 +81,6 @@ pub fn validate_doc(doc: &Json) -> Result<(), String> {
         "wire.queries",
     )?;
     require(wire, "bytes_reduction", "wire")?;
-
-    // Intra-machine morsel suite.
-    let intra = require(doc, "intra", "document")?;
-    let cases = require_arr(intra, "results", "intra")?;
-    each_has_nums(
-        cases,
-        &["intra_parallelism", "p50_latency_ns", "morsels", "result"],
-        "intra.results",
-    )?;
 
     // Open-loop serving suite.
     let serve = require(doc, "serve", "document")?;
@@ -189,48 +160,6 @@ pub fn validate_doc(doc: &Json) -> Result<(), String> {
         "cache.results",
     )?;
 
-    // Doorbell-batched fetch suite: scalar vs batched one-sided read path
-    // over the same graph under churn. The CI fetch job reads `speedup`,
-    // `verb_reduction` and `answers_identical` to enforce its floors, so a
-    // document that lacks them (or shipped with divergent answers between
-    // the scalar and batched paths) is rejected outright.
-    let fetch = require(doc, "fetch", "document")?;
-    require_num(fetch, "speedup", "fetch")?;
-    require_num(fetch, "verb_reduction", "fetch")?;
-    require_num(fetch, "churn_batches", "fetch")?;
-    match require(fetch, "answers_identical", "fetch")? {
-        Json::Bool(true) => {}
-        Json::Bool(false) => {
-            return Err("fetch: answers_identical is false".into());
-        }
-        other => {
-            return Err(format!(
-                "fetch: 'answers_identical' must be a bool, got {other}"
-            ))
-        }
-    }
-    let fetch_modes = require_arr(fetch, "results", "fetch")?;
-    if fetch_modes.len() != 2 {
-        return Err(format!(
-            "fetch: 'results' must hold the scalar/batched pair, got {}",
-            fetch_modes.len()
-        ));
-    }
-    each_has_nums(
-        fetch_modes,
-        &[
-            "machines",
-            "iters",
-            "p50_latency_ns",
-            "p99_latency_ns",
-            "avg_latency_ns",
-            "throughput_qps",
-            "fetch_verbs",
-            "result",
-        ],
-        "fetch.results",
-    )?;
-
     // Deterministic-simulation suite: the scenario catalog at fixed seeds.
     // A document is only valid if every scenario passed AND every run
     // replayed byte-identically — a sim regression must fail the job, not
@@ -273,17 +202,12 @@ pub fn validate_text(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// Minimal well-formed a1-bench-v8 document.
+    /// Minimal well-formed a1-bench-v9 document.
     fn sample() -> Json {
         Json::parse(
             r#"{
-              "schema": "a1-bench-v8",
+              "schema": "a1-bench-v9",
               "quick": true,
-              "results": [{
-                "workload": "q1", "machines": 8, "fanout_parallelism": 0,
-                "iters": 8, "p50_latency_ns": 1, "p99_latency_ns": 2,
-                "avg_latency_ns": 1, "throughput_qps": 10.0, "result": 5
-              }],
               "ingest": [{
                 "workload": "ingest-group-commit", "machines": 4,
                 "partitions": 4, "batch_size": 64, "records": 10,
@@ -295,16 +219,11 @@ mod tests {
                 "codec": [{"message": "query-request", "bytes": 10,
                   "encode_ns": 5, "decode_ns": 5}],
                 "queries": [{"workload": "q1", "format": "binary",
-                  "fanout_parallelism": 0, "rpcs": 8, "req_bytes": 100,
+                  "rpcs": 8, "req_bytes": 100,
                   "reply_bytes": 200, "total_bytes": 300,
                   "avg_latency_ns": 10, "result": 5}],
                 "bytes_reduction": {"q1": 0.5}
               },
-              "intra": {"results": [{"workload": "hub", "machines": 8,
-                "intra_parallelism": 4, "iters": 8, "p50_latency_ns": 10,
-                "p99_latency_ns": 20, "avg_latency_ns": 12,
-                "throughput_qps": 100.0, "frontier": 64, "morsels": 4,
-                "max_concurrent_morsels": 4, "result": 5}]},
               "serve": {
                 "machines": 8, "max_sustainable_qps": 100.0,
                 "answers_match_closed_loop": true,
@@ -327,20 +246,6 @@ mod tests {
                    "avg_latency_ns": 30, "throughput_qps": 40.0,
                    "cache_hits": 0, "cache_misses": 0,
                    "local_read_fraction": 0.1, "result": 32}
-                ]
-              },
-              "fetch": {
-                "speedup": 8.0, "verb_reduction": 6.0,
-                "answers_identical": true, "churn_batches": 10,
-                "results": [
-                  {"mode": "scalar", "machines": 4, "iters": 6,
-                   "p50_latency_ns": 80, "p99_latency_ns": 90,
-                   "avg_latency_ns": 82, "throughput_qps": 12.0,
-                   "fetch_verbs": 200, "result": 16},
-                  {"mode": "batched", "machines": 4, "iters": 6,
-                   "p50_latency_ns": 10, "p99_latency_ns": 12,
-                   "avg_latency_ns": 11, "throughput_qps": 90.0,
-                   "fetch_verbs": 30, "result": 16}
                 ]
               },
               "sim": {
@@ -417,33 +322,6 @@ mod tests {
         }
         let err = validate_doc(&doc).unwrap_err();
         assert!(err.contains("sim"), "{err}");
-
-        // Missing fetch section.
-        let mut doc = sample();
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "fetch");
-        }
-        let err = validate_doc(&doc).unwrap_err();
-        assert!(err.contains("fetch"), "{err}");
-
-        // Scalar and batched answers diverged — never a valid artifact.
-        let mut doc = sample();
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k != "fetch" {
-                    continue;
-                }
-                if let Json::Obj(fetch_fields) = v {
-                    for (fk, fv) in fetch_fields.iter_mut() {
-                        if fk == "answers_identical" {
-                            *fv = Json::Bool(false);
-                        }
-                    }
-                }
-            }
-        }
-        let err = validate_doc(&doc).unwrap_err();
-        assert!(err.contains("fetch: answers_identical"), "{err}");
 
         // A replay divergence is never a valid artifact.
         let mut doc = sample();

@@ -1,16 +1,14 @@
 //! Wire-protocol benchmarks: the codec micro-bench (JSON text vs. binary
 //! frames, encode + decode) and bytes-on-wire for Q1/Q4 on the 8-machine
-//! latency-injected cluster, measured under every {serial, parallel} ×
-//! {json, binary} combination.
+//! latency-injected cluster, measured under both wire formats.
 //!
 //! Since `Fabric::rpc` charges simulated latency per byte of request and
 //! reply, fewer bytes is directly faster — this suite is the evidence for
 //! the binary wire being the default. It doubles as a correctness gate:
-//! [`run_wire_suite`] panics if any combination disagrees on a query's
-//! answer, or if the binary wire fails to cut ≥40% of total RPC bytes.
+//! [`run_wire_suite`] panics if either format gets a query's answer wrong,
+//! or if the binary wire fails to cut ≥40% of total RPC bytes.
 
-use crate::perf::{measured_latency, spec};
-use crate::workload::{KnowledgeGraph, GRAPH, TENANT};
+use crate::workload::{measured_latency, suite_spec, KnowledgeGraph, GRAPH, TENANT};
 use a1_core::query::exec::{
     CompiledMatch, CompiledStep, CompiledTraverse, QueryMetrics, WorkOp, WorkResult,
 };
@@ -35,21 +33,18 @@ pub struct CodecBenchResult {
     pub decode_ns: u64,
 }
 
-/// Bytes-on-wire for one query under one ⟨format, coordinator⟩ combination.
+/// Bytes-on-wire for one query under one wire format.
 #[derive(Debug, Clone)]
 pub struct WireQueryResult {
     pub workload: String,
     /// `json` or `binary`.
     pub format: String,
-    /// 0 = parallel fan-out, 1 = serial coordinator.
-    pub fanout_parallelism: usize,
     pub rpcs: u64,
     pub req_bytes: u64,
     pub reply_bytes: u64,
     pub total_bytes: u64,
     pub avg_latency_ns: u64,
-    /// The query's answer (count or row count), asserted identical across
-    /// all combinations.
+    /// The query's answer (a count), asserted equal to the reference.
     pub result: u64,
 }
 
@@ -183,10 +178,10 @@ fn bench_codec(iters: usize) -> Vec<CodecBenchResult> {
     out
 }
 
-/// Run the suite. Panics if any ⟨format, coordinator⟩ combination disagrees
-/// on a query's answer, or if the binary wire saves less than 40% of total
-/// RPC bytes vs. `WireFormat::Json` on any Q1/Q4 combination — so the CI
-/// perf-trajectory job doubles as the wire-protocol acceptance gate.
+/// Run the suite. Panics if either format answers a query differently from
+/// the generator's reference, or if the binary wire saves less than 40% of total RPC bytes vs.
+/// `WireFormat::Json` on Q1 or Q4 — so the CI perf-trajectory job doubles as
+/// the wire-protocol acceptance gate.
 pub fn run_wire_suite(quick: bool) -> WireSuite {
     let machines = 8u32;
     let iters = if quick { 2_000 } else { 20_000 };
@@ -195,79 +190,60 @@ pub fn run_wire_suite(quick: bool) -> WireSuite {
 
     let mut queries = Vec::new();
     for fmt in [WireFormat::Json, WireFormat::Binary] {
-        for fanout in [1usize, 0] {
-            let mut cfg = A1Config::small(machines)
-                .with_fanout(fanout)
-                .with_wire_format(fmt);
-            cfg.farm.fabric.latency = measured_latency();
-            // Load fast (no injection), then measure with injection on so
-            // the byte counts come off the same cluster the latency suite
-            // measures.
-            let kg = KnowledgeGraph::load(cfg, spec(quick));
-            let fabric = kg.cluster.farm().fabric().clone();
-            fabric.set_inject_latency(true);
-            for (name, text) in [("q1", kg.q1()), ("q4", kg.q4())] {
-                // Warm proxy caches so the measured delta is the query only.
-                let _ = kg.client.query(TENANT, GRAPH, &text).expect("warmup");
-                let before = fabric.metrics().snapshot();
-                let t0 = Instant::now();
-                let mut result = 0;
-                for _ in 0..query_iters {
-                    let outcome = kg.client.query(TENANT, GRAPH, &text).expect("query");
-                    result = outcome.count.unwrap_or(outcome.rows.len() as u64);
-                }
-                let elapsed = t0.elapsed().as_nanos() as u64;
-                let delta = fabric.metrics().snapshot().delta_since(&before);
-                queries.push(WireQueryResult {
-                    workload: name.into(),
-                    format: fmt_name(fmt).into(),
-                    fanout_parallelism: fanout,
-                    rpcs: delta.rpcs / query_iters as u64,
-                    req_bytes: delta.rpc_req_bytes / query_iters as u64,
-                    reply_bytes: delta.rpc_reply_bytes / query_iters as u64,
-                    total_bytes: delta.rpc_bytes() / query_iters as u64,
-                    avg_latency_ns: elapsed / query_iters as u64,
-                    result,
-                });
+        let mut cfg = A1Config::small(machines).with_wire_format(fmt);
+        cfg.farm.fabric.latency = measured_latency();
+        // Load fast (no injection), then measure with injection on so the
+        // byte counts come off the same cluster the latency suite measures.
+        let kg = KnowledgeGraph::load(cfg, suite_spec(quick));
+        let fabric = kg.cluster.farm().fabric().clone();
+        fabric.set_inject_latency(true);
+        for (name, text, expected) in [
+            ("q1", kg.q1(), kg.answers.q1),
+            ("q4", kg.q4(), kg.answers.q4),
+        ] {
+            // Warm proxy caches so the measured delta is the query only.
+            let _ = kg.client.query(TENANT, GRAPH, &text).expect("warmup");
+            let before = fabric.metrics().snapshot();
+            let t0 = Instant::now();
+            let mut result = 0;
+            for _ in 0..query_iters {
+                let outcome = kg.client.query(TENANT, GRAPH, &text).expect("query");
+                result = outcome.count.unwrap_or(outcome.rows.len() as u64);
             }
-            fabric.set_inject_latency(false);
+            let elapsed = t0.elapsed().as_nanos() as u64;
+            let delta = fabric.metrics().snapshot().delta_since(&before);
+            // Gate 1: the answer under this format is the generator's.
+            assert_eq!(result, expected, "{name} wrong under {}", fmt_name(fmt));
+            queries.push(WireQueryResult {
+                workload: name.into(),
+                format: fmt_name(fmt).into(),
+                rpcs: delta.rpcs / query_iters as u64,
+                req_bytes: delta.rpc_req_bytes / query_iters as u64,
+                reply_bytes: delta.rpc_reply_bytes / query_iters as u64,
+                total_bytes: delta.rpc_bytes() / query_iters as u64,
+                avg_latency_ns: elapsed / query_iters as u64,
+                result,
+            });
         }
+        fabric.set_inject_latency(false);
     }
 
-    // Gate 1: every combination agrees on every query's answer.
-    for r in &queries {
-        for o in &queries {
-            if r.workload == o.workload {
-                assert_eq!(
-                    r.result, o.result,
-                    "{} answers diverge: {}/{} vs {}/{}",
-                    r.workload, r.format, r.fanout_parallelism, o.format, o.fanout_parallelism
-                );
-            }
-        }
-    }
-    // Gate 2: the binary wire cuts ≥40% of total RPC bytes in every
-    // combination (the ISSUE 4 acceptance bar).
     for workload in ["q1", "q4"] {
-        for fanout in [1usize, 0] {
-            let by = |format: &str| {
-                queries
-                    .iter()
-                    .find(|r| {
-                        r.workload == workload
-                            && r.format == format
-                            && r.fanout_parallelism == fanout
-                    })
-                    .expect("measured")
-            };
-            let (json, binary) = (by("json"), by("binary"));
-            assert!(
-                (binary.total_bytes as f64) <= 0.60 * json.total_bytes as f64,
-                "{workload} fanout={fanout}: binary {}B !≤ 60% of json {}B",
-                binary.total_bytes,
-                json.total_bytes
-            );
-        }
+        let by = |format: &str| {
+            queries
+                .iter()
+                .find(|r| r.workload == workload && r.format == format)
+                .expect("measured")
+        };
+        let (json, binary) = (by("json"), by("binary"));
+        // Gate 2: the binary wire cuts ≥40% of total RPC bytes (the ISSUE 4
+        // acceptance bar).
+        assert!(
+            (binary.total_bytes as f64) <= 0.60 * json.total_bytes as f64,
+            "{workload}: binary {}B !≤ 60% of json {}B",
+            binary.total_bytes,
+            json.total_bytes
+        );
     }
     WireSuite { codec, queries }
 }
@@ -319,7 +295,6 @@ pub fn wire_suite_to_json(suite: &WireSuite) -> Json {
                         Json::obj(vec![
                             ("workload", Json::str(&r.workload)),
                             ("format", Json::str(&r.format)),
-                            ("fanout_parallelism", Json::Num(r.fanout_parallelism as f64)),
                             ("rpcs", Json::Num(r.rpcs as f64)),
                             ("req_bytes", Json::Num(r.req_bytes as f64)),
                             ("reply_bytes", Json::Num(r.reply_bytes as f64)),
@@ -369,22 +344,16 @@ pub fn wire_report(quick: bool) -> String {
     .unwrap();
     writeln!(
         out,
-        "{:<4} {:<7} {:<9} {:>6} {:>10} {:>10} {:>10} {:>10}",
-        "Q", "format", "mode", "rpcs", "req B", "reply B", "total B", "avg µs"
+        "{:<4} {:<7} {:>6} {:>10} {:>10} {:>10} {:>10}",
+        "Q", "format", "rpcs", "req B", "reply B", "total B", "avg µs"
     )
     .unwrap();
     for r in &suite.queries {
-        let mode = if r.fanout_parallelism == 1 {
-            "serial"
-        } else {
-            "parallel"
-        };
         writeln!(
             out,
-            "{:<4} {:<7} {:<9} {:>6} {:>10} {:>10} {:>10} {:>10.1}",
+            "{:<4} {:<7} {:>6} {:>10} {:>10} {:>10} {:>10.1}",
             r.workload,
             r.format,
-            mode,
             r.rpcs,
             r.req_bytes,
             r.reply_bytes,
@@ -411,7 +380,7 @@ pub fn wire_report(quick: bool) -> String {
     }
     writeln!(
         out,
-        "(identical answers asserted across {{serial, parallel}} × {{json, binary}})"
+        "(every answer asserted against the generator's reference)"
     )
     .unwrap();
     out
@@ -422,12 +391,12 @@ mod tests {
     use super::*;
 
     /// The ISSUE 4 acceptance gate: ≥40% fewer total RPC bytes on Q1/Q4 with
-    /// identical answers across every combination (both asserted inside
+    /// reference-checked answers under both formats (both asserted inside
     /// `run_wire_suite`), plus a sanity check on the emitted JSON.
     #[test]
     fn wire_gate_quick() {
         let suite = run_wire_suite(true);
-        assert_eq!(suite.queries.len(), 8);
+        assert_eq!(suite.queries.len(), 4);
         // The codec micro-bench agrees with the cluster-level gate: binary
         // messages are smaller than their JSON twins.
         for message in ["work_op", "work_result"] {
@@ -448,7 +417,7 @@ mod tests {
         }
         let j = wire_suite_to_json(&suite);
         let parsed = Json::parse(&j.to_string()).unwrap();
-        assert_eq!(parsed.get("queries").unwrap().as_arr().unwrap().len(), 8);
+        assert_eq!(parsed.get("queries").unwrap().as_arr().unwrap().len(), 4);
         let q4_cut = parsed
             .get("bytes_reduction")
             .and_then(|r| r.get("q4"))

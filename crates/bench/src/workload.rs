@@ -6,11 +6,19 @@
 //! scale: the default spec gives "Spielberg" exactly 49 films whose casts
 //! union to ~1639 distinct actors, matching the paper's reported Q1
 //! footprint. A uniform random graph backs the Figure 14 scaling study
-//! (23 M vertices / 63 M edges in the paper, scaled down here).
+//! (23 M vertices / 63 M edges in the paper, scaled down here), and a
+//! hub-skewed frontier ([`HubSkewGraph`]) exercises intra-machine morsels.
+//!
+//! The generators keep the adjacency they load and answer the evaluation
+//! queries from it ([`KgAnswers`], [`HubSkewGraph::expected_match`]), so
+//! tests compare the cluster against an independent reference instead of
+//! against another configuration of itself.
 
-use a1_core::{A1Client, A1Cluster, A1Config, Json};
+use a1_core::{A1Client, A1Cluster, A1Config, Json, MachineId, Mutation};
+use a1_farm::LatencyModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeSet, HashMap};
 
 pub const TENANT: &str = "bing";
 pub const GRAPH: &str = "kg";
@@ -86,6 +94,92 @@ impl KnowledgeGraphSpec {
     }
 }
 
+/// The knowledge-graph shape the latency-injected suites measure on.
+pub(crate) fn suite_spec(quick: bool) -> KnowledgeGraphSpec {
+    if quick {
+        // Small enough to load in well under a second with latency
+        // injection, big enough that every hop spreads across all machines
+        // with per-machine batches above the ship threshold.
+        KnowledgeGraphSpec {
+            hub_films: 32,
+            actors_per_film: 8,
+            actor_pool: 120,
+            films_per_actor: 2,
+            character_films: 4,
+            payload_bytes: 64,
+            seed: 0xA1,
+        }
+    } else {
+        KnowledgeGraphSpec::default()
+    }
+}
+
+/// The latency model for a suite's measured phase: the default model scaled
+/// so every *network* wait lands in the injector's sleep regime (≥200 µs,
+/// where concurrent waits genuinely overlap even on a 1-core CI runner)
+/// while local reads stay near-free. Think of it as a loaded/oversubscribed
+/// network: the local/remote asymmetry that drives the paper's design is
+/// preserved, just magnified.
+pub(crate) fn measured_latency() -> LatencyModel {
+    LatencyModel {
+        local_read_ns: 100,
+        rack_rtt_ns: 1_000_000,
+        cross_rack_rtt_ns: 2_000_000,
+        per_kib_ns: 2_000,
+        rpc_overhead_ns: 1_000_000,
+    }
+}
+
+/// Nearest-rank percentile (rank rounded up), so p99 over a small sample is
+/// the maximum rather than silently dropping the tail.
+pub(crate) fn percentile(sorted_ns: &[u64], pct: usize) -> u64 {
+    let rank = (sorted_ns.len() * pct).div_ceil(100);
+    sorted_ns[rank.saturating_sub(1).min(sorted_ns.len() - 1)]
+}
+
+/// Typed out-neighbour sets of a generated graph, keyed by vertex id: the
+/// reference the expected answers are computed from.
+#[derive(Debug, Default)]
+struct Adjacency {
+    out: HashMap<(String, String), BTreeSet<String>>,
+}
+
+impl Adjacency {
+    fn add(&mut self, src: &str, edge_type: &str, dst: &str) {
+        self.out
+            .entry((edge_type.to_string(), src.to_string()))
+            .or_default()
+            .insert(dst.to_string());
+    }
+
+    fn has(&self, src: &str, edge_type: &str, dst: &str) -> bool {
+        self.out
+            .get(&(edge_type.to_string(), src.to_string()))
+            .is_some_and(|dsts| dsts.contains(dst))
+    }
+
+    /// One traversal hop: the distinct out-neighbours of a frontier.
+    fn hop(&self, edge_type: &str, frontier: &BTreeSet<String>) -> BTreeSet<String> {
+        frontier
+            .iter()
+            .filter_map(|v| self.out.get(&(edge_type.to_string(), v.clone())))
+            .flatten()
+            .cloned()
+            .collect()
+    }
+}
+
+/// What Table 2's four queries must answer on a generated knowledge graph,
+/// computed from the generator's own adjacency.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KgAnswers {
+    pub q1: u64,
+    pub q2: u64,
+    /// Q3's projected `name[0]` values, ascending.
+    pub q3: Vec<String>,
+    pub q4: u64,
+}
+
 /// A loaded knowledge graph plus the ids the evaluation queries start from.
 pub struct KnowledgeGraph {
     pub cluster: A1Cluster,
@@ -94,6 +188,8 @@ pub struct KnowledgeGraph {
     pub director_id: String,
     pub character_id: String,
     pub hub_actor_id: String,
+    /// Reference answers to [`KnowledgeGraph::q1`]..[`KnowledgeGraph::q4`].
+    pub answers: KgAnswers,
 }
 
 impl KnowledgeGraph {
@@ -120,7 +216,11 @@ impl KnowledgeGraph {
         let payload: String = (0..spec.payload_bytes)
             .map(|i| ((i % 26) as u8 + b'a') as char)
             .collect();
-        let mk_vertex = |client: &A1Client, id: &str, name: &str, extra: &str| {
+        let mut names: HashMap<String, String> = HashMap::new();
+        let mut adj = Adjacency::default();
+        let mut batman_roles: BTreeSet<String> = BTreeSet::new();
+        let mut mk_vertex = |client: &A1Client, id: &str, name: &str, extra: &str| {
+            names.insert(id.to_string(), name.to_string());
             client
                 .create_vertex(
                     TENANT,
@@ -132,7 +232,8 @@ impl KnowledgeGraph {
                 )
                 .unwrap();
         };
-        let mk_edge = |client: &A1Client, src: &str, et: &str, dst: &str| {
+        let mut mk_edge = |client: &A1Client, src: &str, et: &str, dst: &str| {
+            adj.add(src, et, dst);
             client
                 .create_edge(
                     TENANT,
@@ -221,11 +322,38 @@ impl KnowledgeGraph {
                         ),
                     )
                     .unwrap();
+                if character == "Batman" {
+                    batman_roles.insert(pid.clone());
+                }
                 mk_edge(&client, &fid, "film.performance", &pid);
                 let actor = format!("actor{:05}", rng.gen_range(0..spec.actor_pool));
                 mk_edge(&client, &pid, "performance.actor", &actor);
             }
         }
+
+        let start = |id: &str| BTreeSet::from([id.to_string()]);
+        let films = adj.hop("director.film", &start(&director_id));
+        let roles = adj.hop(
+            "film.performance",
+            &adj.hop("character.film", &start(&character_id)),
+        );
+        let mut q3: Vec<String> = films
+            .iter()
+            .filter(|f| {
+                adj.has(f, "film.actor", &hub_actor_id) && adj.has(f, "film.genre", "genre.war")
+            })
+            .map(|f| names[f].clone())
+            .collect();
+        q3.sort();
+        let co_stars = adj.hop("film.actor", &adj.hop("actor.film", &start(&hub_actor_id)));
+        let answers = KgAnswers {
+            q1: adj.hop("film.actor", &films).len() as u64,
+            q2: adj
+                .hop("performance.actor", &(&roles & &batman_roles))
+                .len() as u64,
+            q3,
+            q4: adj.hop("actor.film", &co_stars).len() as u64,
+        };
 
         KnowledgeGraph {
             cluster,
@@ -234,6 +362,7 @@ impl KnowledgeGraph {
             director_id,
             character_id,
             hub_actor_id,
+            answers,
         }
     }
 
@@ -370,6 +499,142 @@ impl UniformGraphSpec {
     }
 }
 
+/// Graph name of the hub-skew workload (tenant is [`TENANT`]).
+pub const HUB_SKEW_GRAPH: &str = "hub-skew";
+
+const HUB_SKEW_SCHEMA: &str = r#"{
+    "name": "entity",
+    "fields": [
+        {"id": 0, "name": "id", "type": "string", "required": true},
+        {"id": 1, "name": "rank", "type": "int64"},
+        {"id": 2, "name": "payload", "type": "string"}
+    ]
+}"#;
+
+/// Shape of the hub-skewed frontier.
+#[derive(Debug, Clone)]
+pub struct HubSkewSpec {
+    /// Frontier vertices (hop-2 work-op batch size across the cluster).
+    pub srcs: usize,
+    /// Fraction of the frontier owned by machine 0.
+    pub skew: f64,
+    /// Match-target payload bytes (read during predicate evaluation).
+    pub payload_bytes: usize,
+}
+
+/// A two-hop match workload built to defeat cross-machine fan-out:
+///
+/// ```text
+/// root ──fan──▶ src_i ──hit──▶ tgt_i   (match: tgt.rank == 1)
+/// ```
+///
+/// `root` lives on machine 1 (coordinate from there and hop 1 is an inline
+/// run). ~`skew` of the `src` vertices are pinned to machine 0 — hop 2
+/// collapses onto one big shipped work op, the common shape in the paper's
+/// knowledge-graph workloads where hub entities concentrate frontiers — and
+/// every `tgt_i` is a *distinct* vertex on machines 1…N−1, so each match
+/// evaluation is a remote header+record read from machine 0 that only
+/// morsels can overlap (the per-batch neighbor memo doesn't collapse
+/// distinct targets).
+pub struct HubSkewGraph {
+    pub cluster: A1Cluster,
+    /// What [`HubSkewGraph::match_query`] must count: the generator gives
+    /// every frontier vertex exactly one `hit` target, always of rank 1.
+    pub expected_match: u64,
+}
+
+impl HubSkewGraph {
+    pub fn load(cfg: A1Config, spec: &HubSkewSpec) -> HubSkewGraph {
+        let machines = cfg.farm.fabric.machines;
+        assert!(machines >= 3, "need a hub machine plus remote targets");
+        let cluster = A1Cluster::start(cfg).expect("cluster");
+        let client = cluster.client();
+        client.create_tenant(TENANT).unwrap();
+        client.create_graph(TENANT, HUB_SKEW_GRAPH).unwrap();
+        client
+            .create_vertex_type(TENANT, HUB_SKEW_GRAPH, HUB_SKEW_SCHEMA, "id", &[])
+            .unwrap();
+        for et in ["fan", "hit"] {
+            client
+                .create_edge_type(
+                    TENANT,
+                    HUB_SKEW_GRAPH,
+                    &format!(r#"{{"name": "{et}", "fields": []}}"#),
+                )
+                .unwrap();
+        }
+        let payload: String = (0..spec.payload_bytes)
+            .map(|i| ((i % 26) as u8 + b'a') as char)
+            .collect();
+        let vertex = |id: &str, rank: i64| Mutation::UpsertVertex {
+            tenant: TENANT.into(),
+            graph: HUB_SKEW_GRAPH.into(),
+            ty: "entity".into(),
+            attrs: Json::obj(vec![
+                ("id", Json::str(id)),
+                ("rank", Json::Num(rank as f64)),
+                ("payload", Json::str(&payload)),
+            ]),
+        };
+        let edge = |src: &str, et: &str, dst: &str| Mutation::UpsertEdge {
+            tenant: TENANT.into(),
+            graph: HUB_SKEW_GRAPH.into(),
+            src_type: "entity".into(),
+            src_id: Json::str(src),
+            edge_type: et.into(),
+            dst_type: "entity".into(),
+            dst_id: Json::str(dst),
+            data: None,
+        };
+
+        // Vertices allocate at the batch's pinned coordinator (Hint::Local),
+        // so `apply_batch_at` controls placement — that is what makes the
+        // skew.
+        client
+            .apply_batch_at(MachineId(1), &[vertex("root", 0)])
+            .unwrap();
+        let hub = (spec.srcs as f64 * spec.skew).round() as usize;
+        let home = |i: usize| -> MachineId {
+            if i < hub {
+                MachineId(0)
+            } else {
+                MachineId(1 + ((i - hub) as u32 % (machines - 1)))
+            }
+        };
+        for i in 0..spec.srcs {
+            let sid = format!("src{i:05}");
+            let tid = format!("tgt{i:05}");
+            client.apply_batch_at(home(i), &[vertex(&sid, 0)]).unwrap();
+            // Targets never land on machine 0: from the hub machine every
+            // match read is a (simulated) remote read.
+            client
+                .apply_batch_at(
+                    MachineId(1 + (i as u32 % (machines - 1))),
+                    &[vertex(&tid, 1)],
+                )
+                .unwrap();
+            client
+                .apply_batch(&[edge("root", "fan", &sid), edge(&sid, "hit", &tid)])
+                .unwrap();
+        }
+        HubSkewGraph {
+            cluster,
+            expected_match: spec.srcs as u64,
+        }
+    }
+
+    /// Count the frontier vertices whose `hit` target satisfies `rank == 1`.
+    pub fn match_query() -> String {
+        r#"{ "id": "root",
+            "_out_edge": { "_type": "fan",
+            "_vertex": {
+            "_match": [{ "_out_edge": { "_type": "hit",
+            "_vertex": { "rank": 1 } } }],
+            "_select": ["_count(*)"] } } }"#
+            .to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +653,33 @@ mod tests {
         );
         let out = kg.client.query(TENANT, GRAPH, &kg.q4()).unwrap();
         assert!(out.count.unwrap() > 0, "Q4 finds co-star films");
+        // ...and the generator's own adjacency predicts every answer.
+        let count = |q: &str| kg.client.query(TENANT, GRAPH, q).unwrap().count;
+        assert_eq!(count(&kg.q1()), Some(kg.answers.q1));
+        assert_eq!(count(&kg.q2()), Some(kg.answers.q2));
+        assert_eq!(count(&kg.q4()), Some(kg.answers.q4));
+        assert_eq!(
+            kg.answers.q3.len(),
+            3,
+            "tiny: films 0, 2, 4 are war + hub actor"
+        );
+    }
+
+    #[test]
+    fn hub_skew_graph_answers_its_match_query() {
+        let spec = HubSkewSpec {
+            srcs: 12,
+            skew: 0.9,
+            payload_bytes: 16,
+        };
+        let g = HubSkewGraph::load(A1Config::small(3), &spec);
+        assert_eq!(g.expected_match, 12);
+        let out = g
+            .cluster
+            .client()
+            .query(TENANT, HUB_SKEW_GRAPH, &HubSkewGraph::match_query())
+            .unwrap();
+        assert_eq!(out.count, Some(g.expected_match));
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! page out through continuation tokens.
 //!
 //! Execution is parallel at two nested levels: a hop's work ops dispatch
-//! concurrently across their target machines ([`ExecConfig::fanout_parallelism`],
-//! the Fig. 9 fan-out), and inside each machine the batch splits into
-//! morsels on that machine's own worker pool
-//! ([`ExecConfig::intra_parallelism`]) — the level that saves a hub-skewed
+//! concurrently across all of their target machines (the Fig. 9 fan-out),
+//! and inside each machine the batch splits into one morsel per worker
+//! thread on that machine's own pool — the level that saves a hub-skewed
 //! frontier, where one machine owns most of the hop and fan-out collapses
-//! to a single ship. Both levels merge deterministically, so every
-//! configuration returns byte-identical results.
+//! to a single ship. Both levels merge in input order, so results do not
+//! depend on how the pool interleaves the jobs.
 
 use crate::cache::{CachedVertex, VertexCache};
 use crate::catalog::GraphProxies;
@@ -33,145 +32,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// When does a per-machine batch justify shipping an RPC work op instead of
-/// being read remotely from the coordinator (§3.4)?
-///
-/// The choice only moves *where* the snapshot reads happen — both paths
-/// evaluate identical operators at the same snapshot timestamp, so every
-/// policy returns byte-identical answers; only latency and verb counts
-/// differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShipPolicy {
-    /// Ship batches of at least `n` vertices (the legacy static threshold;
-    /// `Fixed(usize::MAX)` disables shipping entirely).
-    Fixed(usize),
-    /// Compare a modeled fetch cost (doorbell-batched one-sided reads from
-    /// the coordinator) against a modeled ship cost (RPC round trip +
-    /// machine-local reads at the owner) per batch, using only
-    /// deterministic inputs: the fabric's [`LatencyModel`] constants, the
-    /// batch size, the step's shape (edge enumerations are pointer-chasing
-    /// and cannot be doorbell-batched), and a static record-width estimate
-    /// derived from the catalog's vertex schemas. No runtime counters feed
-    /// the decision, so a simulation replay makes the identical choice.
-    ///
-    /// [`LatencyModel`]: a1_farm::LatencyModel
-    Cost,
-}
-
-/// Fixed remote-side dispatch overhead a shipped work op pays beyond the
-/// wire RPC cost (deserialization, pool queueing). Seeded from the bench
-/// cost model's calibration (`a1-bench`'s `costmodel.rs`: ~1.5 µs/vertex
-/// CPU, 15 µs one-way RPC on the paper's hardware); per-vertex operator CPU
-/// is spent wherever evaluation runs and cancels out of the comparison.
-const SHIP_DISPATCH_NS: u64 = 3_000;
-
-/// Wire-size guesses for the ship cost model: per-address request bytes,
-/// per-row reply bytes, request framing, and the header-object bytes a
-/// fetch transfers per vertex (FaRM object header + vertex header).
-const SHIP_REQ_BYTES_PER_ADDR: usize = 16;
-const SHIP_REPLY_BYTES_PER_ROW: usize = 32;
-const SHIP_REQ_BASE_BYTES: usize = 40;
-const FETCH_HDR_BYTES: usize = 96;
-
-impl ShipPolicy {
-    /// Decide for a batch of `n` vertices against `step` on a remote host
-    /// (`same_rack` relative to the coordinator). `est_record_bytes` is the
-    /// catalog-derived record-width estimate.
-    fn should_ship(
-        &self,
-        n: usize,
-        lat: &a1_farm::LatencyModel,
-        same_rack: bool,
-        step: &CompiledStep,
-        emit_rows: bool,
-        est_record_bytes: usize,
-    ) -> bool {
-        match *self {
-            ShipPolicy::Fixed(t) => n >= t,
-            ShipPolicy::Cost => {
-                let need_rec = !step.preds.is_empty() || emit_rows;
-                // Edge enumerations (matches + traverse) descend B-tree/list
-                // blocks — pointer chasing the fetch path pays as ~2 scalar
-                // round trips per vertex per enumeration, while the ship
-                // path serves them from machine-local memory.
-                let enum_ops = step.matches.len() + step.traverse.is_some() as usize;
-                let fetch = lat.one_sided_batch_ns(false, same_rack, n, n * FETCH_HDR_BYTES)
-                    + if need_rec {
-                        lat.one_sided_batch_ns(false, same_rack, n, n * est_record_bytes)
-                    } else {
-                        0
-                    }
-                    + (n * enum_ops) as u64 * 2 * lat.one_sided_ns(false, same_rack, 256);
-                let local_per_vertex =
-                    (1 + need_rec as usize + 2 * enum_ops) as u64 * lat.local_read_ns;
-                let ship = lat.rpc_ns(same_rack, SHIP_REQ_BASE_BYTES + SHIP_REQ_BYTES_PER_ADDR * n)
-                    + lat.rpc_ns(same_rack, SHIP_REPLY_BYTES_PER_ROW * n)
-                    + SHIP_DISPATCH_NS
-                    + n as u64 * local_per_vertex;
-                ship < fetch
-            }
-        }
-    }
-}
-
-/// Static record-width estimate from the catalog's vertex schemas (mean
-/// field count, ~16 B per encoded field plus framing) — a pure function of
-/// the catalog so the [`ShipPolicy::Cost`] decision is replay-deterministic.
-fn est_record_bytes(proxies: &GraphProxies) -> usize {
-    let fields: usize = proxies
-        .vertex_types
-        .iter()
-        .map(|vp| vp.def.schema.fields().len())
-        .sum();
-    let types = proxies.vertex_types.len();
-    if types == 0 {
-        return 64;
-    }
-    32 + 16 * (fields / types)
-}
-
 /// Execution knobs (paper defaults in parentheses).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// When to ship a per-machine batch as an RPC work op instead of
-    /// fetching it with one-sided reads from the coordinator (§3.4).
-    pub ship_policy: ShipPolicy,
-    /// Coalesce a morsel's header reads, cache-revalidation probes, and
-    /// record reads into doorbell-batched one-sided posts (one per target
-    /// machine per round) instead of one verb per object. Answers are
-    /// byte-identical either way; `false` keeps the scalar read-per-object
-    /// loop for A/B comparison.
-    pub batched_fetch: bool,
+    /// Ship a per-machine batch of at least this many vertices as an RPC
+    /// work op; smaller batches are fetched with one-sided reads from the
+    /// coordinator (§3.4). Either way the same operators evaluate at the
+    /// same snapshot timestamp, so this only moves where the reads happen.
+    /// `usize::MAX` disables shipping.
+    pub ship_threshold: usize,
     /// Fast-fail bound on the frontier size (§3.4).
     pub max_working_set: usize,
     /// Rows per page before continuation tokens kick in (§3.4).
     pub page_size: usize,
-    /// How many of a hop's work ops may be in flight concurrently. The paper
-    /// ships a hop's operators to all owning machines at once (Fig. 9), so
-    /// `0` means *auto*: as many slots as the hop has target machines (on a
-    /// LIMIT-sliced final hop a wave may spend several of those slots on
-    /// slices of the same machine's batch). `1` is the legacy serial
-    /// coordinator, kept for A/B comparison; any other value caps the
-    /// fan-out window.
-    pub fanout_parallelism: usize,
-    /// How many morsels a machine splits one work op's vertex batch into for
-    /// execution on its own worker pool — the *intra*-machine level below
-    /// the cross-machine fan-out above. `0` means *auto*: one morsel per
-    /// simulated core (the machine's base worker-thread count). `1` is the
-    /// legacy serial per-machine loop, kept for A/B comparison; any other
-    /// value caps the number of concurrently executing morsels.
-    pub intra_parallelism: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            ship_policy: ShipPolicy::Fixed(4),
-            batched_fetch: true,
+            ship_threshold: 4,
             max_working_set: 1_000_000,
             page_size: 1_000,
-            fanout_parallelism: 0,
-            intra_parallelism: 0,
         }
     }
 }
@@ -201,9 +82,7 @@ pub struct QueryMetrics {
     pub cache_misses: u64,
     /// One-sided fetch posts (doorbell rings) this query's work ops issued:
     /// a scalar read or probe counts 1, a doorbell-coalesced batch counts 1
-    /// per target machine regardless of how many objects it carried. The
-    /// verb-reduction ratio of batching is `fetch_verbs(scalar)` /
-    /// `fetch_verbs(batched)` for the same query.
+    /// per target machine regardless of how many objects it carried.
     pub fetch_verbs: u64,
 }
 
@@ -264,16 +143,14 @@ pub struct HopStats {
     /// Wall-clock nanoseconds from partitioning the frontier to merging the
     /// last reply (the hop's critical path, including queueing).
     pub wall_ns: u64,
-    /// Peak number of shipped work ops simultaneously in flight — 1 under
-    /// the serial coordinator, up to `machines` under parallel fan-out.
+    /// Peak number of shipped work ops simultaneously in flight (at most
+    /// `machines`).
     pub max_concurrent_ships: u64,
     /// Total morsels this hop's work ops were split into across all target
-    /// machines (equals the work-op count under the serial per-machine
-    /// loop).
+    /// machines.
     pub morsels: u64,
     /// Peak number of morsels simultaneously executing inside any single
-    /// work op — 1 under the serial per-machine loop, up to
-    /// [`ExecConfig::intra_parallelism`] under morsel execution.
+    /// work op (at most the machine's base worker-thread count).
     pub max_concurrent_morsels: u64,
     /// RPC request bytes this hop's ships put on the wire.
     pub rpc_req_bytes: u64,
@@ -612,7 +489,7 @@ pub struct WorkResult {
     pub next: Vec<Addr>,
     pub rows: Vec<(Addr, Json)>,
     pub metrics: QueryMetrics,
-    /// How many morsels the batch was split into (1 = serial loop).
+    /// How many morsels the batch was split into.
     pub morsels: u64,
     /// Peak number of those morsels executing simultaneously.
     pub max_concurrent_morsels: u64,
@@ -646,17 +523,16 @@ const MIN_MORSEL: usize = 4;
 /// Execute a worker operator batch: predicate evaluation and edge
 /// enumeration at (ideally) the vertices' home machine (§3.4).
 ///
-/// The batch is split into up to `intra_parallelism` morsels (0 = auto: one
-/// per simulated core) dispatched concurrently onto `pool` — the target
-/// machine's own worker pool. Each morsel runs in its own read-only
-/// transaction pinned at the shared `op.snapshot_ts` (snapshot reads are
-/// safe to run concurrently) and results merge in input order, so the
-/// outcome is byte-identical to the serial loop. Falls back to the serial
-/// loop when the batch is small, `pool` is absent, or the pool is already
-/// saturated (a fast path — progress under saturation is guaranteed
-/// structurally by `run_all`'s help-first join, which drains queued jobs
-/// onto the waiting caller).
-#[allow(clippy::too_many_arguments)]
+/// The batch is split into up to one morsel per simulated core (the
+/// machine's base worker-thread count) dispatched concurrently onto `pool`
+/// — the target machine's own worker pool. Each morsel runs in its own
+/// read-only transaction pinned at the shared `op.snapshot_ts` (snapshot
+/// reads are safe to run concurrently) and results merge in input order,
+/// so the outcome does not depend on the interleaving. Runs as a single
+/// morsel on the calling thread when the batch is small, `pool` is absent,
+/// or the pool is already saturated (a fast path — progress under
+/// saturation is guaranteed structurally by `run_all`'s help-first join,
+/// which drains queued jobs onto the waiting caller).
 pub fn run_work_op(
     farm: &Arc<FarmCluster>,
     store: &GraphStore,
@@ -665,15 +541,10 @@ pub fn run_work_op(
     op: &WorkOp,
     cache: Option<&VertexCache>,
     pool: Option<&a1_farm::WorkerPool>,
-    cfg: &ExecConfig,
 ) -> A1Result<WorkResult> {
     let cache = cache.filter(|_| !op.cache_bypass);
-    let batched = cfg.batched_fetch;
     let memo = NeighborMemo::default();
-    let workers = match cfg.intra_parallelism {
-        0 => farm.config().fabric.threads_per_machine.max(1),
-        n => n,
-    };
+    let workers = farm.config().fabric.threads_per_machine.max(1);
     let morsels = workers.min(op.vertices.len().div_ceil(MIN_MORSEL)).max(1);
     let pool = pool.filter(|p| morsels > 1 && !p.is_saturated());
     let Some(pool) = pool else {
@@ -686,7 +557,6 @@ pub fn run_work_op(
             &op.vertices,
             &memo,
             cache,
-            batched,
         )?;
         result.morsels = 1;
         result.max_concurrent_morsels = 1;
@@ -705,9 +575,7 @@ pub fn run_work_op(
             Box::new(move || {
                 let cur = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(cur, Ordering::SeqCst);
-                let r = run_morsel(
-                    farm, store, proxies, machine, op, part, memo, cache, batched,
-                );
+                let r = run_morsel(farm, store, proxies, machine, op, part, memo, cache);
                 in_flight.fetch_sub(1, Ordering::SeqCst);
                 r
             }) as ScopedJob<'_, A1Result<WorkResult>>
@@ -717,20 +585,44 @@ pub fn run_work_op(
     let results = pool.run_all_class(JobClass::Morsel, jobs);
 
     // Merge in input order: morsels are contiguous slices of `op.vertices`,
-    // so concatenating their outputs reproduces the serial loop's order
-    // exactly. Errors surface in input order too (deterministic).
+    // so concatenating their outputs reproduces the batch's vertex order
+    // whatever order they ran in. Errors surface in input order too.
     let mut merged = WorkResult {
         morsels: n_morsels,
         max_concurrent_morsels: peak.load(Ordering::SeqCst),
         ..WorkResult::default()
     };
-    for result in results {
+    for (_slot, result) in results.into_iter().enumerate() {
         let result = result?;
+        #[cfg(debug_assertions)]
+        let result = seeded_bug::apply(_slot, result);
         merged.next.extend(result.next);
         merged.rows.extend(result.rows);
         merged.metrics.absorb(&result.metrics);
     }
     Ok(merged)
+}
+
+/// A merge bug the simulation's mutation test (`crates/sim/tests/mutation.rs`)
+/// switches on to prove the scenario oracles reach the morsel merge. Exists
+/// only in builds with debug assertions: release builds carry neither the
+/// flag nor the check.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub mod seeded_bug {
+    use super::WorkResult;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// While set, every morsel merge loses its second morsel's traversal
+    /// output.
+    pub static DROP_SECOND_MORSEL_NEXT: AtomicBool = AtomicBool::new(false);
+
+    pub(super) fn apply(slot: usize, mut result: WorkResult) -> WorkResult {
+        if slot == 1 && DROP_SECOND_MORSEL_NEXT.load(Ordering::SeqCst) {
+            result.next.clear();
+        }
+        result
+    }
 }
 
 /// Revalidate a cache entry against the live FaRM version word: serve it
@@ -797,17 +689,18 @@ fn revalidate_prefetched(
 /// One morsel of a work op: the per-vertex loop over a contiguous slice of
 /// the batch, in its own read-only transaction joined to the op's snapshot.
 ///
-/// With `batched` set, the morsel front-loads its fetches into
+/// A morsel of more than one vertex front-loads its fetches into
 /// doorbell-coalesced posts (one per target machine per round) instead of
 /// one verb per object: round one carries every vertex's header read or
 /// cache-revalidation probe, round two the surviving vertices' record
 /// reads. The per-vertex loop then consumes the prefetched slots, falling
 /// back to the scalar read for any address the prefetch could not serve
-/// (probe invalidated by churn, concurrent cache fill), so answers are
-/// byte-identical to the scalar loop. Edge enumeration and match-pattern
-/// neighbor reads stay scalar: they are pointer-chasing (B-tree descent,
-/// per-edge data blocks) whose addresses are unknown until the header is in
-/// hand, and under query shipping they are machine-local anyway.
+/// (probe invalidated by churn, concurrent cache fill), so a wrong
+/// prefetch guess costs a verb, never an answer. Edge enumeration and
+/// match-pattern neighbor reads stay scalar: they are pointer-chasing
+/// (B-tree descent, per-edge data blocks) whose addresses are unknown until
+/// the header is in hand, and under query shipping they are machine-local
+/// anyway.
 #[allow(clippy::too_many_arguments)]
 fn run_morsel(
     farm: &Arc<FarmCluster>,
@@ -818,7 +711,6 @@ fn run_morsel(
     vertices: &[Addr],
     memo: &NeighborMemo,
     cache: Option<&VertexCache>,
-    batched: bool,
 ) -> A1Result<WorkResult> {
     use a1_farm::{FetchReq, FetchResp};
 
@@ -833,7 +725,7 @@ fn run_morsel(
         }
     };
     let need_rec = !op.step.preds.is_empty() || op.emit_rows;
-    let batched = batched && vertices.len() > 1;
+    let batched = vertices.len() > 1;
 
     // Prefetch round one: one batched post per target machine covering every
     // vertex's header — a full read on a cache miss, a header-sized
@@ -1234,9 +1126,9 @@ fn render_row(
 // -------------------------------------------------------------- coordinator
 
 /// Ship callback: send a [`WorkOp`] to a remote machine, returning its
-/// [`WorkResult`]. Provided by the server layer (fabric RPC + JSON wire).
-/// `Sync` because the parallel coordinator invokes it from several worker
-/// threads at once.
+/// [`WorkResult`]. Provided by the server layer (fabric RPC + the
+/// configured wire format). `Sync` because the coordinator invokes it from
+/// several worker threads at once.
 pub type ShipFn<'a> = dyn Fn(MachineId, &WorkOp) -> A1Result<WorkResult> + Sync + 'a;
 
 /// The coordinator's environment: everything about *where* a query runs, as
@@ -1257,9 +1149,9 @@ pub struct Coordinator<'a> {
 
 /// Coordinate a compiled query (paper Fig. 9). Each hop's batches — remote
 /// ships *and* inline local runs — are dispatched onto the coordinator
-/// machine's worker pool concurrently (up to [`ExecConfig::fanout_parallelism`]
-/// in flight) and their replies merged in `MachineId` order, so results are
-/// identical to the serial coordinator's.
+/// machine's worker pool concurrently (one slot per target machine) and
+/// their replies merged in `MachineId` order, so results do not depend on
+/// which reply lands first.
 pub fn coordinate(
     coord: &Coordinator<'_>,
     tenant: &str,
@@ -1307,7 +1199,7 @@ pub fn coordinate(
 
         // Partition (Fig. 9): group pointers by primary host — a purely
         // local metadata operation. Batches are ordered by MachineId so both
-        // dispatch and merge are deterministic regardless of fan-out.
+        // dispatch and merge are deterministic.
         let mut by_machine: HashMap<MachineId, Vec<Addr>> = HashMap::new();
         for addr in frontier.drain(..) {
             let host = farm
@@ -1332,18 +1224,6 @@ pub fn coordinate(
         // materialized.
         let row_limit = if emit_rows { compiled.limit } else { None };
         let chunk_size = row_limit.map(|l| l.max(1));
-        // The ship-vs-fetch decision (§3.4): a pure function of the batch
-        // size, the step's shape, the latency model, and static catalog
-        // stats — see [`ShipPolicy`]. Evaluated against the whole batch and
-        // re-checked against each (possibly LIMIT-sliced) part, like the
-        // legacy fixed threshold.
-        let latency = farm.config().fabric.latency.clone();
-        let est_rec = est_record_bytes(proxies);
-        let decide_ship = |host: MachineId, n: usize| -> bool {
-            let same_rack = farm.fabric().rack_of(machine) == farm.fabric().rack_of(host);
-            cfg.ship_policy
-                .should_ship(n, &latency, same_rack, step, emit_rows, est_rec)
-        };
         let mut batch_idx = 0usize;
         let mut batch_off = 0usize;
         let mut next_part = || -> Option<(MachineId, Vec<Addr>, bool)> {
@@ -1357,7 +1237,6 @@ pub fn coordinate(
                     continue;
                 }
                 let end = chunk_size.map_or(len, |c| (batch_off + c).min(len));
-                let ship_batch = host != machine && decide_ship(host, len);
                 // A whole-batch chunk (the common, no-LIMIT case) moves the
                 // Vec instead of copying it.
                 let part = if batch_off == 0 && end == len {
@@ -1365,21 +1244,21 @@ pub fn coordinate(
                 } else {
                     vertices[batch_off..end].to_vec()
                 };
-                let is_ship = ship_batch && decide_ship(host, part.len());
+                // The ship-vs-fetch decision (§3.4), taken per (possibly
+                // LIMIT-sliced) part.
+                let is_ship = host != machine && part.len() >= cfg.ship_threshold;
                 batch_off = end;
                 return Some((host, part, is_ship));
             }
             None
         };
 
-        // Ship & merge: dispatch up to `parallelism` work ops at a time and
-        // aggregate replies in dispatch order. Auto means one slot per
-        // target machine — limit-sliced batches drain wave by wave so early
-        // termination can cut the tail.
-        let parallelism = match cfg.fanout_parallelism {
-            0 => (hop.machines as usize).max(1),
-            n => n.max(1),
-        };
+        // Ship & merge: dispatch one wave of work ops at a time — one slot
+        // per target machine — and aggregate replies in dispatch order.
+        // Limit-sliced batches drain wave by wave (a wave may spend several
+        // slots on slices of the same machine's batch) so early termination
+        // can cut the tail.
+        let window = (hop.machines as usize).max(1);
         let in_flight = AtomicU64::new(0);
         let peak_ships = AtomicU64::new(0);
         let run_one = |host: MachineId, op: &WorkOp, is_ship: bool| -> A1Result<WorkResult> {
@@ -1394,7 +1273,7 @@ pub fn coordinate(
                 // read remotely than to RPC (§3.4). Still morsel-parallel on
                 // the coordinator's pool — under hub skew the coordinator
                 // machine can own most of the frontier itself.
-                run_work_op(farm, store, proxies, machine, op, cache, Some(pool), cfg)
+                run_work_op(farm, store, proxies, machine, op, cache, Some(pool))
             }
         };
 
@@ -1406,7 +1285,7 @@ pub fn coordinate(
                 }
             }
             let mut wave: Vec<(MachineId, WorkOp, bool)> = Vec::new();
-            while wave.len() < parallelism {
+            while wave.len() < window {
                 let Some((host, vertices, is_ship)) = next_part() else {
                     break;
                 };

@@ -14,5 +14,5 @@
 pub mod exec;
 pub mod plan;
 
-pub use exec::{ExecConfig, QueryMetrics, QueryOutcome, ShipPolicy};
+pub use exec::{ExecConfig, QueryMetrics, QueryOutcome};
 pub use plan::{parse_query, AttrPredicate, CmpOp, Query, Select};

@@ -131,27 +131,10 @@ impl A1Config {
         }
     }
 
-    /// Same cluster with a specific per-hop ship fan-out
-    /// ([`ExecConfig::fanout_parallelism`]): `0` = auto (a window as wide
-    /// as the hop's target machine count), `1` = the legacy serial
-    /// coordinator.
-    pub fn with_fanout(mut self, fanout: usize) -> A1Config {
-        self.exec.fanout_parallelism = fanout;
-        self
-    }
-
     /// Same cluster with a specific [`WireFormat`] for inter-machine
     /// messages (`Json` = the legacy debug wire).
     pub fn with_wire_format(mut self, fmt: WireFormat) -> A1Config {
         self.wire_format = fmt;
-        self
-    }
-
-    /// Same cluster with a specific per-machine morsel parallelism
-    /// ([`ExecConfig::intra_parallelism`]): `0` = auto (one morsel per
-    /// simulated core), `1` = the legacy serial per-machine loop.
-    pub fn with_intra_parallelism(mut self, intra: usize) -> A1Config {
-        self.exec.intra_parallelism = intra;
         self
     }
 
@@ -516,16 +499,7 @@ impl A1Inner {
         // next to the data they read. Per-client bypass arrives stamped on
         // the op itself.
         let cache = self.cfg.cache.enabled.then(|| &backend.cache);
-        exec::run_work_op(
-            &self.farm,
-            &self.store,
-            &proxies,
-            machine,
-            op,
-            cache,
-            pool,
-            &self.cfg.exec,
-        )
+        exec::run_work_op(&self.farm, &self.store, &proxies, machine, op, cache, pool)
     }
 
     /// Evict `addrs` from every machine's hot-vertex cache — the post-commit

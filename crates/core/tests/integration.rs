@@ -520,7 +520,7 @@ fn query_shipping_locality() {
     let build = |ship_threshold: usize| {
         let cluster = A1Cluster::start(A1Config {
             exec: a1_core::query::exec::ExecConfig {
-                ship_policy: a1_core::query::ShipPolicy::Fixed(ship_threshold),
+                ship_threshold,
                 ..Default::default()
             },
             ..A1Config::small(4)

@@ -1272,6 +1272,44 @@ mod tests {
     }
 
     #[test]
+    fn dropped_txn_counts_as_abort_only_with_buffered_writes() {
+        let c = cluster();
+        let ptr = c
+            .run(MachineId(0), |tx| tx.alloc(8, Hint::Local, &[1; 8]))
+            .unwrap();
+        let aborts = || c.stats().aborts.load(Ordering::Relaxed);
+        let before = aborts();
+        // Read-only snapshot reads, dropped without `commit` (the query
+        // path), and a read-write transaction that only ever read.
+        let mut ro = c.begin_read_only(MachineId(1));
+        ro.read(ptr).unwrap();
+        drop(ro);
+        let mut rw = c.begin(MachineId(1));
+        rw.read(ptr).unwrap();
+        drop(rw);
+        assert_eq!(aborts(), before, "nothing to roll back, nothing aborted");
+        // Dropping buffered work is an abort: an update, or an eager
+        // allocation (which must also be rolled back).
+        let mut rw = c.begin(MachineId(1));
+        let buf = rw.read(ptr).unwrap();
+        rw.update(&buf, vec![2; 8]).unwrap();
+        drop(rw);
+        assert_eq!(aborts(), before + 1);
+        let allocated = c.stats().allocated_objects.load(Ordering::Relaxed);
+        let freed = c.stats().freed_objects.load(Ordering::Relaxed);
+        let mut rw = c.begin(MachineId(1));
+        rw.alloc(8, Hint::Local, &[3; 8]).unwrap();
+        drop(rw);
+        assert_eq!(aborts(), before + 2);
+        assert_eq!(
+            c.stats().allocated_objects.load(Ordering::Relaxed)
+                - c.stats().freed_objects.load(Ordering::Relaxed),
+            allocated - freed,
+            "the dropped allocation leaked"
+        );
+    }
+
+    #[test]
     fn read_validation_catches_intervening_write() {
         let c = cluster();
         let a = c

@@ -624,8 +624,12 @@ impl Drop for Txn {
     fn drop(&mut self) {
         if !self.finished {
             self.finished = true;
-            self.rollback_allocs();
-            self.cluster.note_abort();
+            // A dropped transaction with nothing buffered (every read-only
+            // query ends this way) gave up no work: not an abort.
+            if !self.writes.is_empty() {
+                self.rollback_allocs();
+                self.cluster.note_abort();
+            }
         }
     }
 }

@@ -6,6 +6,7 @@ use crate::fault::{FaultDecision, FaultInjector, NetOp};
 use crate::machine::Segment;
 use crate::machine::{Machine, RpcHandler, UdHandler};
 use crate::metrics::Metrics;
+use crate::pool::WorkerPool;
 use crate::rng::ClusterRng;
 use crate::{FabricConfig, MachineId};
 use bytes::Bytes;
@@ -47,6 +48,9 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// [`ClusterRng::fork`] tag base for the per-machine pool-order streams.
+const POOL_ORDER_FORK: u64 = 0x9001_0000;
+
 /// The simulated RDMA network. See the crate docs for the model.
 pub struct Fabric {
     cfg: FabricConfig,
@@ -62,21 +66,27 @@ impl Fabric {
     pub fn new(cfg: FabricConfig) -> Arc<Fabric> {
         assert!(cfg.machines >= 1);
         assert!(cfg.racks >= 1);
+        let rng = ClusterRng::new(cfg.seed);
+        // A virtual clock means a simulation harness owns time, and so must
+        // own pool scheduling too: each machine's pool draws its batch
+        // order from its own fork of the cluster stream.
+        let deterministic = cfg.clock.is_virtual();
         let machines = (0..cfg.machines)
             .map(|i| {
-                Arc::new(Machine::new(
-                    MachineId(i),
-                    i % cfg.racks,
+                let pool = WorkerPool::build(
+                    &format!("m{i}"),
                     cfg.threads_per_machine,
                     cfg.max_threads_per_machine,
-                ))
+                    deterministic.then(|| rng.fork(POOL_ORDER_FORK + i as u64)),
+                );
+                Arc::new(Machine::new(MachineId(i), i % cfg.racks, pool))
             })
             .collect();
         Arc::new(Fabric {
             machines,
             metrics: Metrics::default(),
             clock: cfg.clock.clone(),
-            rng: ClusterRng::new(cfg.seed),
+            rng,
             fault: RwLock::new(None),
             inject: std::sync::atomic::AtomicBool::new(cfg.inject_latency),
             cfg,
@@ -681,6 +691,38 @@ mod tests {
         assert_eq!(f.rack_of(MachineId(1)), 1);
         assert_eq!(f.rack_of(MachineId(2)), 2);
         assert_eq!(f.rack_of(MachineId(3)), 0);
+    }
+
+    #[test]
+    fn virtual_clock_selects_seeded_pool_order() {
+        use crate::pool::ScopedJob;
+        // The batch order each machine's pool picks under `seed`.
+        let orders = |seed: u64| -> Vec<Vec<usize>> {
+            let f = Fabric::new(FabricConfig {
+                seed,
+                clock: VirtualClock::new(),
+                ..Default::default()
+            });
+            f.machines()
+                .iter()
+                .map(|m| {
+                    let ran = parking_lot::Mutex::new(Vec::new());
+                    let jobs: Vec<ScopedJob<()>> = (0..12)
+                        .map(|i| {
+                            let ran = &ran;
+                            Box::new(move || ran.lock().push(i)) as ScopedJob<()>
+                        })
+                        .collect();
+                    m.pool().run_all(jobs);
+                    assert_eq!(m.pool().thread_count(), f.config().threads_per_machine);
+                    ran.into_inner()
+                })
+                .collect()
+        };
+        let a = orders(5);
+        assert_eq!(a, orders(5), "replayable from the fabric seed");
+        assert_ne!(a, orders(6));
+        assert_ne!(a[0], a[1], "each machine forks its own stream");
     }
 
     #[test]

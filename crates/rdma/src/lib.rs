@@ -76,7 +76,10 @@ pub struct FabricConfig {
     pub seed: u64,
     /// The time source every timer in the stack reads and sleeps on.
     /// [`RealClock`] (the default) reproduces pre-existing behavior; the
-    /// simulation harness injects a [`VirtualClock`] here.
+    /// simulation harness injects a [`VirtualClock`] here. A virtual clock
+    /// also puts every machine's pool in deterministic mode
+    /// ([`WorkerPool::deterministic`], ordered by forks of `seed`): whoever
+    /// owns time owns scheduling.
     pub clock: std::sync::Arc<dyn ClockSource>,
 }
 

@@ -96,7 +96,7 @@ pub struct Machine {
 }
 
 impl Machine {
-    pub(crate) fn new(id: MachineId, rack: u32, threads: usize, max_threads: usize) -> Machine {
+    pub(crate) fn new(id: MachineId, rack: u32, pool: WorkerPool) -> Machine {
         Machine {
             id,
             rack,
@@ -104,7 +104,7 @@ impl Machine {
             segments: RwLock::new(HashMap::new()),
             rpc_handler: RwLock::new(None),
             ud_handler: RwLock::new(None),
-            pool: WorkerPool::new(&format!("m{}", id.0), threads, max_threads),
+            pool,
         }
     }
 
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn machine_segments() {
-        let m = Machine::new(MachineId(0), 0, 1, 2);
+        let m = Machine::new(MachineId(0), 0, WorkerPool::new("m0", 1, 2));
         assert!(m.is_alive());
         let seg = Segment::new(16);
         m.register_segment(5, seg.clone());

@@ -20,7 +20,13 @@
 //!   Over-quota jobs wait in a per-class backlog and are promoted as their
 //!   class drains, bounding how many worker threads a greedy class (e.g.
 //!   ingest appliers under a bulk load) may occupy at once.
+//!
+//! Under a virtual clock the fabric builds its pools in **deterministic
+//! mode** ([`WorkerPool::deterministic`]): scoped batches run on the calling
+//! thread in a seeded order, so the simulation harness exercises the same
+//! batch call sites production does while staying replayable by seed.
 
+use crate::rng::ClusterRng;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -152,10 +158,35 @@ impl Drop for RunningGuard<'_> {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     queued: Arc<AtomicUsize>,
+    /// Deterministic mode: the stream scoped batches draw their execution
+    /// order from (see [`WorkerPool::deterministic`]).
+    order: Option<ClusterRng>,
 }
 
 impl WorkerPool {
     pub fn new(name: &str, base: usize, max: usize) -> WorkerPool {
+        Self::build(name, base, max, None)
+    }
+
+    /// A pool for the simulation harness: [`WorkerPool::run_all_class`]
+    /// enqueues nothing and runs its jobs on the calling thread, one at a
+    /// time, in an order drawn from `order` — so a single logical thread
+    /// driving the cluster sees a job interleaving that is a pure function
+    /// of the seed — and [`WorkerPool::is_saturated`] is constantly `false`
+    /// (it would otherwise read racy worker-idle counts). Everything else
+    /// (RPC dispatch, datagram handlers, ingest appliers) still runs on the
+    /// pool's threads; those callers block for their result, so they add no
+    /// interleaving of their own.
+    pub fn deterministic(name: &str, base: usize, max: usize, order: ClusterRng) -> WorkerPool {
+        Self::build(name, base, max, Some(order))
+    }
+
+    pub(crate) fn build(
+        name: &str,
+        base: usize,
+        max: usize,
+        order: Option<ClusterRng>,
+    ) -> WorkerPool {
         assert!(base >= 1, "pool needs at least one thread");
         assert!(max >= base);
         let (tx, rx) = unbounded::<()>();
@@ -176,6 +207,7 @@ impl WorkerPool {
         let pool = WorkerPool {
             shared: shared.clone(),
             queued: Arc::new(AtomicUsize::new(0)),
+            order,
         };
         for i in 0..base {
             spawn_worker(shared.clone(), pool.queued.clone(), i, true);
@@ -316,9 +348,10 @@ impl WorkerPool {
     /// to block on queued work (e.g. a scoped [`WorkerPool::run_all`] batch)
     /// should degrade to inline execution instead: lending the calling
     /// thread guarantees progress when every pool thread is itself blocked
-    /// waiting on queued jobs.
+    /// waiting on queued jobs. Never true in deterministic mode.
     pub fn is_saturated(&self) -> bool {
-        self.shared.idle.load(Ordering::Relaxed) == 0
+        self.order.is_none()
+            && self.shared.idle.load(Ordering::Relaxed) == 0
             && self.shared.threads.load(Ordering::Relaxed) >= self.shared.max
     }
 
@@ -350,6 +383,10 @@ impl WorkerPool {
     /// If any job panics, the panic is re-raised on the caller *after* every
     /// other job has completed (so borrowed state is never unwound while
     /// still shared).
+    ///
+    /// In deterministic mode none of the above machinery runs: the jobs
+    /// execute on the calling thread in a seeded order (results and panics
+    /// still surface in input order).
     // The one unsafe block in the workspace: lifetime erasure for scoped
     // jobs, justified by the emptied-slot invariant documented at the
     // transmute.
@@ -367,6 +404,9 @@ impl WorkerPool {
                 return vec![jobs.pop().expect("one job")()];
             }
             _ => {}
+        }
+        if let Some(order) = &self.order {
+            return run_in_seeded_order(order, jobs);
         }
         let (tx, rx) = crossbeam::channel::bounded::<(usize, std::thread::Result<R>)>(n);
         let job_slots: Vec<Arc<Mutex<Option<ScopedJob<'env, R>>>>> = jobs
@@ -454,13 +494,7 @@ impl WorkerPool {
             slots[idx] = Some(result);
             guard.consumed += 1;
         }
-        slots
-            .into_iter()
-            .map(|slot| match slot.expect("every slot filled") {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        unwrap_in_order(slots)
     }
 
     /// Jobs queued and not yet started (class backlogs not included).
@@ -472,6 +506,32 @@ impl WorkerPool {
     pub fn thread_count(&self) -> usize {
         self.shared.threads.load(Ordering::Relaxed)
     }
+}
+
+/// A joined batch's results in input order; the first panic (in input
+/// order) is re-raised now that every job has finished.
+fn unwrap_in_order<R>(slots: Vec<Option<std::thread::Result<R>>>) -> Vec<R> {
+    slots
+        .into_iter()
+        .map(|slot| match slot.expect("every slot filled") {
+            Ok(r) => r,
+            Err(payload) => std::panic::resume_unwind(payload),
+        })
+        .collect()
+}
+
+/// Deterministic-mode batch: run every job on this thread in a permutation
+/// drawn from `order` (Fisher–Yates), catching panics so each job runs.
+fn run_in_seeded_order<'env, R>(order: &ClusterRng, jobs: Vec<ScopedJob<'env, R>>) -> Vec<R> {
+    let mut pending: Vec<(usize, ScopedJob<'env, R>)> = jobs.into_iter().enumerate().collect();
+    let mut slots: Vec<Option<std::thread::Result<R>>> = Vec::new();
+    slots.resize_with(pending.len(), || None);
+    while !pending.is_empty() {
+        let pick = order.gen_range(pending.len() as u64) as usize;
+        let (idx, job) = pending.swap_remove(pick);
+        slots[idx] = Some(std::panic::catch_unwind(AssertUnwindSafe(job)));
+    }
+    unwrap_in_order(slots)
 }
 
 impl Drop for WorkerPool {
@@ -827,6 +887,68 @@ mod tests {
             p.run_all(jobs).into_iter().sum::<u64>()
         });
         assert_eq!(total, 28);
+    }
+
+    /// Run `n` jobs through a seeded pool; returns (results, execution order).
+    fn seeded_run(seed: u64, n: usize) -> (Vec<usize>, Vec<usize>) {
+        let pool = WorkerPool::deterministic("t", 2, 8, ClusterRng::new(seed));
+        let ran = Mutex::new(Vec::new());
+        let jobs: Vec<ScopedJob<usize>> = (0..n)
+            .map(|i| {
+                let ran = &ran;
+                Box::new(move || {
+                    ran.lock().push(i);
+                    i * 2
+                }) as ScopedJob<usize>
+            })
+            .collect();
+        let results = pool.run_all_class(JobClass::Morsel, jobs);
+        assert_eq!(
+            pool.queue_depth(),
+            0,
+            "deterministic batches enqueue nothing"
+        );
+        assert_eq!(pool.thread_count(), 2, "and never grow the pool");
+        assert!(!pool.is_saturated());
+        (results, ran.into_inner())
+    }
+
+    #[test]
+    fn deterministic_run_all_is_a_seeded_permutation_with_input_order_results() {
+        let (results, order) = seeded_run(7, 16);
+        assert_eq!(results, (0..16).map(|i| i * 2).collect::<Vec<_>>());
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "every job ran once");
+        assert_ne!(order, sorted, "the seed, not the input, picks the order");
+        assert_eq!(seeded_run(7, 16).1, order, "same seed, same order");
+        assert_ne!(seeded_run(8, 16).1, order, "another seed, another order");
+    }
+
+    #[test]
+    fn deterministic_run_all_raises_a_panic_after_every_job_ran() {
+        // Whatever position the seed gives the panicking job, its siblings
+        // all run before the panic surfaces.
+        for seed in 0..8 {
+            let pool = WorkerPool::deterministic("t", 1, 1, ClusterRng::new(seed));
+            let done = AtomicU64::new(0);
+            let jobs: Vec<ScopedJob<()>> = (0..6)
+                .map(|i| {
+                    let done = &done;
+                    Box::new(move || {
+                        if i == 2 {
+                            panic!("job 2 failed");
+                        }
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }) as ScopedJob<()>
+                })
+                .collect();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run_all(jobs)));
+            assert!(caught.is_err());
+            assert_eq!(done.load(Ordering::SeqCst), 5, "seed {seed}");
+            assert_eq!(pool.queue_depth(), 0);
+            assert_eq!(pool.thread_count(), 1);
+        }
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //!   are both derived from the run seed.
 //! * The network — a [`SimNet`] fault injector rules on every simulated
 //!   verb; its decisions are a pure function of scenario state + seed.
-//! * Execution — the cluster runs with serial fan-out and serial morsels,
-//!   and scenarios drive it from a single thread, so the event order is a
-//!   function of the inputs alone.
+//! * Execution — the cluster boots the production [`ExecConfig`] default;
+//!   the virtual clock puts every machine's worker pool in deterministic
+//!   mode ([`a1_rdma::WorkerPool::deterministic`]), so fan-out waves and
+//!   morsel batches run on the scenario's single logical thread in an
+//!   order drawn from the run seed, and the event order is a function of
+//!   the inputs alone.
+//!
+//! [`ExecConfig`]: a1_core::query::ExecConfig
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,9 +43,9 @@ pub struct SimEnv {
 }
 
 impl SimEnv {
-    /// The deterministic base configuration: virtual clock, run seed,
-    /// serial execution. Scenarios that need DR or caching enable those on
-    /// the returned config before [`SimEnv::with_config`].
+    /// The deterministic base configuration: virtual clock and run seed
+    /// over production defaults. Scenarios that need DR or caching enable
+    /// those on the returned config before [`SimEnv::with_config`].
     pub fn base_config(seed: u64, machines: u32, clock: &Arc<VirtualClock>) -> A1Config {
         let mut cfg = A1Config::small(machines);
         cfg.farm.fabric.seed = seed;
@@ -48,10 +53,6 @@ impl SimEnv {
         // Latency injection would only advance virtual time; keep it off so
         // time moves exactly when scenarios say so.
         cfg.farm.fabric.inject_latency = false;
-        // Serial fan-out + serial morsels: with synchronous RPC this makes
-        // work-op order a pure function of the query and the data.
-        cfg.exec.fanout_parallelism = 1;
-        cfg.exec.intra_parallelism = 1;
         cfg
     }
 

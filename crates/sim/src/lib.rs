@@ -6,8 +6,8 @@
 //! `(scenario, seed)`:
 //!
 //! * [`SimEnv`] boots a cluster on a [`a1_rdma::VirtualClock`] and a seeded
-//!   [`a1_rdma::ClusterRng`], with serial query execution so event order is
-//!   a pure function of the inputs.
+//!   [`a1_rdma::ClusterRng`], with seeded pool scheduling so event order
+//!   is a pure function of the inputs.
 //! * [`SimNet`] rules on every simulated network verb (deliver, drop,
 //!   delay) as a fault injector: partitions, reply loss, seeded random
 //!   loss storms.

@@ -139,6 +139,8 @@ impl Scenario for BackwardClockJump {
     fn run(&self, seed: u64) -> ScenarioOutcome {
         let clock = VirtualClock::starting_at(1 << 30);
         let mut cfg = SimEnv::base_config(seed, MACHINES, &clock);
+        // Small pages so the 10-spoke scan holds a continuation token
+        // across the fault.
         cfg.exec.page_size = 4;
         let env = SimEnv::with_config(seed, MACHINES, clock, cfg);
         let client = env.client();

@@ -41,7 +41,7 @@ fn hub_env(seed: u64, ship_threshold: usize) -> (SimEnv, Vec<(String, i64)>) {
     let mut cfg = SimEnv::base_config(seed, MACHINES, &clock);
     // Force the RPC work-op path even for small per-machine batches, so
     // reply loss actually lands mid-fan-out.
-    cfg.exec.ship_policy = a1_core::query::ShipPolicy::Fixed(ship_threshold);
+    cfg.exec.ship_threshold = ship_threshold;
     let env = SimEnv::with_config(seed, MACHINES, clock, cfg);
     let client = env.client();
     workload::setup_schema(&client);

@@ -1,7 +1,7 @@
 //! The scenario catalog at fixed seeds, plus the harness's core promise:
 //! same `(scenario, seed)` ⇒ byte-identical trace and identical verdict.
 
-use a1_sim::{by_name, catalog, run_scenario, sweep};
+use a1_sim::{by_name, catalog, run_scenario, sweep, SimEnv};
 
 fn assert_passes(name: &str, seed: u64) {
     let scenario = by_name(name).expect("catalog scenario");
@@ -13,6 +13,17 @@ fn assert_passes(name: &str, seed: u64) {
         verdict.repro_command()
     );
     assert!(verdict.events > 0, "trace must not be empty");
+}
+
+/// The sim certifies what production runs: the harness sets no execution
+/// knob. (Scenarios that do — `ship_threshold = 1` to force every batch
+/// through the RPC path under attack, a small `page_size` to page a short
+/// scan — say why at the override.)
+#[test]
+fn harness_boots_production_exec_defaults() {
+    let clock = a1_rdma::VirtualClock::new();
+    let cfg = SimEnv::base_config(7, 4, &clock);
+    assert_eq!(cfg.exec, a1_core::query::ExecConfig::default());
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Cross-query hot-vertex read cache: cached and cache-bypass clients must
-//! return byte-identical answers under every coordinator configuration
-//! while ingest rewrites the hot set, eviction pressure must never change
-//! an answer, and a freed (deleted/reallocated) address must miss rather
-//! than fabricate a read from a stale entry.
+//! both return the generator's reference answer while ingest rewrites the
+//! hot set, eviction pressure must never change an answer, and a freed
+//! (deleted/reallocated) address must miss rather than fabricate a read
+//! from a stale entry.
 
-use a1::core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation, QueryOutcome};
+use a1::core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation};
 use a1_bench::cache::{
-    build_graph, count_query, rows_query, CacheGraphSpec, GRAPH, TENANT, UNCACHED_CLIENT,
+    build_graph, count_query, render, rows_query, CacheGraphSpec, GRAPH, TENANT, UNCACHED_CLIENT,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,20 +24,6 @@ fn cache_cfg(capacity_bytes: usize) -> A1Config {
         capacity_bytes,
         bypass_clients: vec![UNCACHED_CLIENT.to_string()],
     })
-}
-
-/// Render an outcome order-independently: the merge order is deterministic
-/// per config but differs across coordinator configs, and the comparison
-/// here is about row *content*.
-fn render(out: &QueryOutcome) -> String {
-    match out.count {
-        Some(c) => format!("count:{c}"),
-        None => {
-            let mut rows: Vec<String> = out.rows.iter().map(Json::to_string).collect();
-            rows.sort();
-            rows.join("|")
-        }
-    }
 }
 
 fn hub_rewrite(i: usize, salt: u64) -> Mutation {
@@ -88,59 +74,47 @@ fn with_churn(cluster: &A1Cluster, hubs: usize, body: impl FnOnce()) -> u64 {
     writes.load(Ordering::Relaxed)
 }
 
-/// The tentpole's correctness contract, across every coordinator shape: a
-/// cached client and a bypass client on the *same* cluster see the same
-/// committed state at every instant — byte-identical rows and counts —
-/// while ingest rewrites the hot set underneath them. {serial, fan-out,
-/// morsel} cover the three work-op read paths that consult the cache.
+/// The cache's correctness contract: a cached client and a bypass client on
+/// the same cluster both see the reference answer — byte-identical rows and
+/// counts — while ingest rewrites the hot set underneath them. The default
+/// cluster covers every work-op read path that consults the cache: queries
+/// land on every backend, so the hub batch runs inline on machine 0 and
+/// shipped from the others, split into morsels either way.
 #[test]
-fn cached_answers_match_bypass_under_concurrent_ingest() {
+fn cached_and_bypass_answers_match_reference_under_concurrent_ingest() {
     let spec = small_spec();
-    let configs: [(&str, A1Config); 3] = [
-        ("serial", cache_cfg(1 << 20).with_fanout(1)),
-        ("fan-out", cache_cfg(1 << 20).with_fanout(0)),
-        ("morsel", {
-            let mut c = cache_cfg(1 << 20).with_fanout(0).with_intra_parallelism(0);
-            c.farm.fabric.threads_per_machine = 4;
-            c
-        }),
-    ];
-    for (name, cfg) in configs {
-        let cluster = build_graph(cfg, &spec);
-        let cached = cluster.client().with_client_id("reader");
-        let uncached = cluster.client().with_client_id(UNCACHED_CLIENT);
-        let queries = [count_query(), rows_query()];
-        let writes = with_churn(&cluster, spec.hubs, || {
-            let mut handles = Vec::new();
-            for t in 0..3usize {
-                let cached = cached.clone();
-                let uncached = uncached.clone();
-                let queries = queries.clone();
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..10 {
-                        let q = &queries[(t + i) % 2];
-                        let c = cached.query(TENANT, GRAPH, q).unwrap();
-                        let u = uncached.query(TENANT, GRAPH, q).unwrap();
-                        // Not a snapshot pair — but the churn only rewrites
-                        // payloads, never ranks or ids, so the answer is
-                        // invariant across every committed state.
-                        assert_eq!(
-                            render(&c),
-                            render(&u),
-                            "[{}] cached diverged from bypass",
-                            std::thread::current().name().unwrap_or("?")
-                        );
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-        assert!(writes > 0, "{name}: churn never committed");
-        let stats = cluster.cache_stats();
-        assert!(stats.hits > 0, "{name}: the cached client never hit");
-    }
+    let expected = spec.reference();
+    let cluster = build_graph(cache_cfg(1 << 20), &spec);
+    let cached = cluster.client().with_client_id("reader");
+    let uncached = cluster.client().with_client_id(UNCACHED_CLIENT);
+    let queries = [count_query(), rows_query()];
+    let writes = with_churn(&cluster, spec.hubs, || {
+        let mut handles = Vec::new();
+        for t in 0..3usize {
+            let cached = cached.clone();
+            let uncached = uncached.clone();
+            let queries = queries.clone();
+            let expected = expected.clone();
+            handles.push(std::thread::spawn(move || {
+                for i in 0..10 {
+                    let which = (t + i) % 2;
+                    let c = cached.query(TENANT, GRAPH, &queries[which]).unwrap();
+                    let u = uncached.query(TENANT, GRAPH, &queries[which]).unwrap();
+                    // The churn only rewrites payloads, never ranks or ids,
+                    // so the answer is invariant across every committed
+                    // state.
+                    assert_eq!(render(&c), expected[which], "cached diverged");
+                    assert_eq!(render(&u), expected[which], "bypass diverged");
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
+    assert!(writes > 0, "churn never committed");
+    let stats = cluster.cache_stats();
+    assert!(stats.hits > 0, "the cached client never hit");
 }
 
 /// A capacity so small the hot set cannot fit forces constant eviction and
@@ -154,7 +128,7 @@ fn eviction_under_capacity_pressure_keeps_answers_exact() {
     // 16 shards × 1 KiB: a ~2 KiB hub record oversizes every shard budget,
     // so hubs sharing a shard evict each other on every refill.
     let capacity = 16 << 10;
-    let cluster = build_graph(cache_cfg(capacity).with_fanout(0), &spec);
+    let cluster = build_graph(cache_cfg(capacity), &spec);
     let cached = cluster.client().with_client_id("reader");
     let uncached = cluster.client().with_client_id(UNCACHED_CLIENT);
     let expected = spec.hubs as u64;
@@ -198,7 +172,7 @@ fn eviction_under_capacity_pressure_keeps_answers_exact() {
 #[test]
 fn deleted_then_recreated_hub_never_serves_stale_cache() {
     let spec = small_spec();
-    let cluster = build_graph(cache_cfg(1 << 20).with_fanout(0), &spec);
+    let cluster = build_graph(cache_cfg(1 << 20), &spec);
     let cached = cluster.client().with_client_id("reader");
     let uncached = cluster.client().with_client_id(UNCACHED_CLIENT);
 
@@ -264,7 +238,7 @@ fn deleted_then_recreated_hub_never_serves_stale_cache() {
 #[test]
 fn disabled_cache_serves_identical_answers_with_no_entries() {
     let spec = small_spec();
-    let mut cfg = cache_cfg(1 << 20).with_fanout(0);
+    let mut cfg = cache_cfg(1 << 20);
     cfg.cache.enabled = false;
     let cluster = build_graph(cfg, &spec);
     let client = cluster.client().with_client_id("reader");

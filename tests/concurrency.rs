@@ -1,80 +1,69 @@
 //! Concurrent distributed coordination: many simultaneous multi-hop queries
-//! from multiple client threads under the parallel per-hop fan-out, with
-//! every result cross-checked against the serial (`fanout_parallelism = 1`)
-//! coordinator — including while a machine is killed mid-stream.
+//! from multiple client threads, with every result checked against the
+//! workload generator's reference answers — including while a machine is
+//! killed mid-stream — plus proof that a hop's ships, and a work op's
+//! morsels, genuinely overlap.
 
-use a1::core::{A1Config, Json, MachineId};
-use a1_bench::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
+use a1::core::{A1Config, Json, MachineId, QueryOutcome};
+use a1_bench::workload::{KgAnswers, KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn load(fanout: usize, machines: u32) -> KnowledgeGraph {
-    KnowledgeGraph::load(
-        A1Config::small(machines).with_fanout(fanout),
-        KnowledgeGraphSpec::tiny(),
-    )
+fn load(machines: u32) -> KnowledgeGraph {
+    KnowledgeGraph::load(A1Config::small(machines), KnowledgeGraphSpec::tiny())
 }
 
-/// Render a query outcome as a stable string: the count, or the rows in
-/// coordinator merge order (which is deterministic by MachineId).
-fn render(out: &a1::core::QueryOutcome) -> String {
-    match out.count {
-        Some(c) => format!("count:{c}"),
-        None => out
-            .rows
-            .iter()
-            .map(Json::to_string)
-            .collect::<Vec<_>>()
-            .join("|"),
+/// Q3's projected film names, ascending (merge order is by `MachineId`;
+/// the reference is a sorted set).
+fn q3_names(out: &QueryOutcome) -> Vec<String> {
+    let mut names: Vec<String> = out
+        .rows
+        .iter()
+        .map(|row| {
+            let name = row.get("name[0]").and_then(Json::as_str);
+            name.expect("Q3 projects name[0]").to_string()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// All four Table 2 answers, in the reference's shape.
+fn all_answers(kg: &KnowledgeGraph) -> KgAnswers {
+    let run = |text: String| kg.client.query(TENANT, GRAPH, &text).unwrap();
+    KgAnswers {
+        q1: run(kg.q1()).count.unwrap(),
+        q2: run(kg.q2()).count.unwrap(),
+        q3: q3_names(&run(kg.q3())),
+        q4: run(kg.q4()).count.unwrap(),
     }
 }
 
-fn answer(kg: &KnowledgeGraph, text: &str) -> String {
-    render(&kg.client.query(TENANT, GRAPH, text).unwrap())
-}
-
-fn all_answers(kg: &KnowledgeGraph) -> Vec<(String, String)> {
-    [
-        ("q1", kg.q1()),
-        ("q2", kg.q2()),
-        ("q3", kg.q3()),
-        ("q4", kg.q4()),
-    ]
-    .into_iter()
-    .map(|(name, text)| (name.to_string(), answer(kg, &text)))
-    .collect()
-}
-
 #[test]
-fn parallel_results_match_serial_baseline() {
+fn shipped_hops_overlap_and_match_reference() {
     // ship_threshold = 1 so even the tiny graph's per-machine batches go
     // over the RPC ship path rather than inline one-sided reads. The
     // network model is scaled into the injector's sleep regime so the
     // overlap assertion below is deterministic on a single-core runner
     // (instant RPCs can finish before the next pool worker starts).
-    let mk = |fanout: usize| {
-        let mut cfg = A1Config::small(6).with_fanout(fanout);
-        cfg.exec.ship_policy = a1::core::query::ShipPolicy::Fixed(1);
-        cfg.farm.fabric.latency.rack_rtt_ns = 500_000;
-        cfg.farm.fabric.latency.cross_rack_rtt_ns = 1_000_000;
-        cfg.farm.fabric.latency.rpc_overhead_ns = 500_000;
-        KnowledgeGraph::load(cfg, KnowledgeGraphSpec::tiny())
-    };
-    let serial = mk(1);
-    let parallel = mk(0);
-    let expected = all_answers(&serial);
-    let got = all_answers(&parallel);
-    assert_eq!(expected, got, "parallel coordinator changed query results");
-    // The parallel run actually overlapped ships on the fan-out hops:
-    // with wall-clock latency injection on, concurrent ships are sleeping
-    // on the wire at the same time.
-    parallel.cluster.farm().fabric().set_inject_latency(true);
-    let out = parallel
+    let mut cfg = A1Config::small(6);
+    cfg.exec.ship_threshold = 1;
+    cfg.farm.fabric.latency.rack_rtt_ns = 500_000;
+    cfg.farm.fabric.latency.cross_rack_rtt_ns = 1_000_000;
+    cfg.farm.fabric.latency.rpc_overhead_ns = 500_000;
+    let kg = KnowledgeGraph::load(cfg, KnowledgeGraphSpec::tiny());
+    assert_eq!(all_answers(&kg), kg.answers);
+    // The fan-out hops actually overlapped their ships: with wall-clock
+    // latency injection on, concurrent ships are sleeping on the wire at
+    // the same time.
+    kg.cluster.farm().fabric().set_inject_latency(true);
+    let out = kg
         .cluster
         .inner()
-        .coordinate_query(MachineId(0), TENANT, GRAPH, &parallel.q4())
+        .coordinate_query(MachineId(0), TENANT, GRAPH, &kg.q4())
         .unwrap();
-    parallel.cluster.farm().fabric().set_inject_latency(false);
+    kg.cluster.farm().fabric().set_inject_latency(false);
+    assert_eq!(out.count, Some(kg.answers.q4));
     let peak = out
         .per_hop
         .iter()
@@ -87,26 +76,24 @@ fn parallel_results_match_serial_baseline() {
 }
 
 #[test]
-fn concurrent_clients_agree_with_serial_baseline() {
-    let serial = load(1, 5);
-    let parallel = load(0, 5);
-    let expected = Arc::new(all_answers(&serial));
-
+fn concurrent_clients_agree_with_reference() {
+    let kg = load(5);
     let mut handles = Vec::new();
     for t in 0..6 {
-        let kg_queries = [parallel.q1(), parallel.q2(), parallel.q3(), parallel.q4()];
-        let client = parallel.client.clone();
-        let expected = expected.clone();
+        let queries = [kg.q1(), kg.q2(), kg.q3(), kg.q4()];
+        let client = kg.client.clone();
+        let expected = kg.answers.clone();
         handles.push(std::thread::spawn(move || {
             for i in 0..10 {
                 let which = (t + i) % 4;
-                let out = client.query(TENANT, GRAPH, &kg_queries[which]).unwrap();
-                let got = render(&out);
-                assert_eq!(
-                    expected[which].1, got,
-                    "thread {t} iteration {i}: {} diverged",
-                    expected[which].0
-                );
+                let out = client.query(TENANT, GRAPH, &queries[which]).unwrap();
+                let ok = match which {
+                    0 => out.count == Some(expected.q1),
+                    1 => out.count == Some(expected.q2),
+                    2 => q3_names(&out) == expected.q3,
+                    _ => out.count == Some(expected.q4),
+                };
+                assert!(ok, "thread {t} iteration {i}: q{} diverged", which + 1);
             }
         }));
     }
@@ -116,58 +103,39 @@ fn concurrent_clients_agree_with_serial_baseline() {
 }
 
 #[test]
-fn killed_machine_mid_stream_matches_serial_baseline() {
-    let serial = load(1, 6);
-    let parallel = load(0, 6);
+fn killed_machine_mid_stream_matches_reference() {
+    let kg = load(6);
+    assert_eq!(all_answers(&kg), kg.answers);
 
-    // The baseline is failure-invariant: killing a machine (with backup
-    // promotion) must not change any answer. Verify that on the serial
-    // cluster first.
-    let expected = all_answers(&serial);
-    serial.cluster.farm().kill_machine(MachineId(4));
-    assert_eq!(
-        expected,
-        all_answers(&serial),
-        "serial answers changed after machine kill"
-    );
-
-    // Parallel cluster: clients hammer queries while a machine dies
-    // mid-stream. In-flight queries may fail transiently; every *successful*
-    // query must return the baseline answer.
+    // Clients hammer queries while a machine dies mid-stream. In-flight
+    // queries may fail transiently; every *successful* query must return
+    // the reference answer (killing a machine, with backup promotion,
+    // changes no answer).
     let stop = Arc::new(AtomicBool::new(false));
     let successes = Arc::new(AtomicU64::new(0));
-    let transient_errors = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for t in 0..4 {
-        let queries = [parallel.q1(), parallel.q4()];
-        let client = parallel.client.clone();
-        let expected = expected.clone();
+        let queries = [(kg.q1(), kg.answers.q1), (kg.q4(), kg.answers.q4)];
+        let client = kg.client.clone();
         let stop = stop.clone();
         let successes = successes.clone();
-        let transient_errors = transient_errors.clone();
         handles.push(std::thread::spawn(move || {
             let mut i = 0;
             while !stop.load(Ordering::Relaxed) {
-                let which = (t + i) % 2;
+                let (text, want) = &queries[(t + i) % 2];
                 i += 1;
-                match client.query(TENANT, GRAPH, &queries[which]) {
-                    Ok(out) => {
-                        let got = render(&out);
-                        let want = &expected[if which == 0 { 0 } else { 3 }];
-                        assert_eq!(want.1, got, "{} diverged during failure", want.0);
-                        successes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        // A ship raced the kill; acceptable, never wrong.
-                        transient_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+                // An error means a ship raced the kill: acceptable, never
+                // wrong.
+                if let Ok(out) = client.query(TENANT, GRAPH, text) {
+                    assert_eq!(out.count, Some(*want), "diverged during failure");
+                    successes.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }));
     }
     // Let the stream establish, then kill a machine under it.
     std::thread::sleep(std::time::Duration::from_millis(50));
-    parallel.cluster.farm().kill_machine(MachineId(4));
+    kg.cluster.farm().kill_machine(MachineId(4));
     std::thread::sleep(std::time::Duration::from_millis(50));
     stop.store(true, Ordering::Relaxed);
     for h in handles {
@@ -177,77 +145,68 @@ fn killed_machine_mid_stream_matches_serial_baseline() {
         successes.load(Ordering::Relaxed) > 0,
         "no query succeeded around the failure"
     );
-    // After promotion settles, answers are the baseline again — from every
+    // After promotion settles, answers are the reference again — from every
     // surviving backend.
-    assert_eq!(expected, all_answers(&parallel));
+    assert_eq!(all_answers(&kg), kg.answers);
 }
 
 // ---------------------------------------------------------------- morsels
 //
 // Intra-machine morsel execution: one machine's work-op batch splits onto
-// its own worker pool (`ExecConfig::intra_parallelism`), the level below
-// the cross-machine fan-out exercised above.
+// its own worker pool, the level below the cross-machine fan-out exercised
+// above.
 
 use a1::core::query::exec::{self, CompiledStep, WorkOp};
 use a1::core::query::plan::Select;
 use a1::core::Mutation;
 use a1::farm::{Addr, RegionId};
-use a1_bench::morsel::{build_graph, match_query, MorselGraphSpec};
-
-fn skewed_spec(srcs: usize) -> MorselGraphSpec {
-    MorselGraphSpec {
-        srcs,
-        skew: 0.9,
-        payload_bytes: 16,
-    }
-}
+use a1_bench::workload::{HubSkewGraph, HubSkewSpec, HUB_SKEW_GRAPH};
 
 /// A 4-machine × 4-core cluster whose hop-2 frontier is ~90% owned by
 /// machine 0 (the hub-skew shape the morsel split exists for).
-fn skewed_cluster(intra: usize, srcs: usize) -> a1::core::A1Cluster {
-    let mut cfg = A1Config::small(4).with_intra_parallelism(intra);
+fn skewed_cluster(srcs: usize) -> HubSkewGraph {
+    let mut cfg = A1Config::small(4);
     cfg.farm.fabric.threads_per_machine = 4;
     // Network waits land in the injector's sleep regime (like the fan-out
     // test above) so morsel-overlap assertions hold on a 1-core runner.
     cfg.farm.fabric.latency.rack_rtt_ns = 500_000;
     cfg.farm.fabric.latency.cross_rack_rtt_ns = 1_000_000;
     cfg.farm.fabric.latency.rpc_overhead_ns = 500_000;
-    build_graph(cfg, &skewed_spec(srcs), true)
+    let spec = HubSkewSpec {
+        srcs,
+        skew: 0.9,
+        payload_bytes: 16,
+    };
+    HubSkewGraph::load(cfg, &spec)
+}
+
+fn match_count(g: &HubSkewGraph) -> u64 {
+    let client = g.cluster.client();
+    let out = client.query(TENANT, HUB_SKEW_GRAPH, &HubSkewGraph::match_query());
+    out.unwrap().count.unwrap()
 }
 
 #[test]
-fn morsel_parallel_matches_serial_on_hub_skewed_frontier() {
-    use a1_bench::morsel::{GRAPH as MGRAPH, TENANT as MTENANT};
+fn morsels_overlap_on_hub_skewed_frontier() {
     let srcs = 24;
-    let serial = skewed_cluster(1, srcs);
-    let expected = serial
-        .client()
-        .query(MTENANT, MGRAPH, &match_query())
-        .unwrap()
-        .count
-        .unwrap();
-    assert_eq!(expected, srcs as u64, "every src's target matches");
-    // Auto (per-core) and capped morsel configs answer identically.
-    for intra in [0usize, 3] {
-        let parallel = skewed_cluster(intra, srcs);
-        let got = parallel
-            .client()
-            .query(MTENANT, MGRAPH, &match_query())
-            .unwrap()
-            .count
-            .unwrap();
-        assert_eq!(expected, got, "intra={intra} changed the answer");
-    }
-    // With injected latency the auto cluster genuinely overlaps morsels
-    // inside the hub machine's single shipped work op.
-    let parallel = skewed_cluster(0, srcs);
-    parallel.cluster_inject(true);
-    let out = parallel
+    let g = skewed_cluster(srcs);
+    assert_eq!(g.expected_match, srcs as u64, "every src's target matches");
+    assert_eq!(match_count(&g), g.expected_match);
+    // With injected latency the morsels genuinely overlap inside the hub
+    // machine's single shipped work op.
+    g.cluster.cluster_inject(true);
+    let out = g
+        .cluster
         .inner()
-        .coordinate_query(MachineId(1), MTENANT, MGRAPH, &match_query())
+        .coordinate_query(
+            MachineId(1),
+            TENANT,
+            HUB_SKEW_GRAPH,
+            &HubSkewGraph::match_query(),
+        )
         .unwrap();
-    parallel.cluster_inject(false);
-    assert_eq!(out.count.unwrap(), expected);
+    g.cluster.cluster_inject(false);
+    assert_eq!(out.count, Some(g.expected_match));
     let hop = out
         .per_hop
         .iter()
@@ -275,19 +234,17 @@ impl Inject for a1::core::A1Cluster {
 
 #[test]
 fn error_in_morsel_propagates_without_deadlock() {
-    let cluster = skewed_cluster(0, 16);
-    let inner = cluster.inner();
+    let g = skewed_cluster(16);
+    let inner = g.cluster.inner();
     let machine = MachineId(0);
-    let proxies = inner
-        .proxies_at(machine, a1_bench::morsel::TENANT, a1_bench::morsel::GRAPH)
-        .unwrap();
+    let proxies = inner.proxies_at(machine, TENANT, HUB_SKEW_GRAPH).unwrap();
     let snapshot_ts = inner.farm.begin_read_only(machine).read_ts();
     // A batch of addresses in a region that does not exist: every morsel's
     // header read fails with `Unavailable` — which, unlike the tolerated
     // NoSuchVertex, must propagate out of the morsel join.
     let op = WorkOp {
-        tenant: a1_bench::morsel::TENANT.into(),
-        graph: a1_bench::morsel::GRAPH.into(),
+        tenant: TENANT.into(),
+        graph: HUB_SKEW_GRAPH.into(),
         snapshot_ts,
         vertices: (0..32)
             .map(|i| Addr::new(RegionId(40_000 + i), 64))
@@ -304,10 +261,6 @@ fn error_in_morsel_propagates_without_deadlock() {
         cache_bypass: false,
     };
     let pool = inner.farm.fabric().machine(machine).unwrap().pool();
-    let exec_cfg = a1::core::query::exec::ExecConfig {
-        intra_parallelism: 4,
-        ..Default::default()
-    };
     let err = exec::run_work_op(
         &inner.farm,
         &inner.store,
@@ -316,27 +269,19 @@ fn error_in_morsel_propagates_without_deadlock() {
         &op,
         None,
         Some(pool),
-        &exec_cfg,
     );
     assert!(err.is_err(), "unplaced addresses must surface an error");
     // The pool joined every morsel before surfacing the error: the machine
     // still executes queries (no wedged workers, no deadlock).
-    let out = cluster
-        .client()
-        .query(
-            a1_bench::morsel::TENANT,
-            a1_bench::morsel::GRAPH,
-            &match_query(),
-        )
-        .unwrap();
-    assert_eq!(out.count.unwrap(), 16);
+    assert_eq!(match_count(&g), g.expected_match);
 }
 
 #[test]
 fn panic_in_morsel_job_propagates_and_pool_serves_queries() {
     use a1::farm::ScopedJob;
-    let cluster = skewed_cluster(0, 16);
-    let pool = cluster
+    let g = skewed_cluster(16);
+    let pool = g
+        .cluster
         .farm()
         .fabric()
         .machine(MachineId(0))
@@ -357,23 +302,19 @@ fn panic_in_morsel_job_propagates_and_pool_serves_queries() {
         .collect();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run_all(jobs)));
     assert!(caught.is_err(), "panic must propagate to the dispatcher");
-    let out = cluster
-        .client()
-        .query(
-            a1_bench::morsel::TENANT,
-            a1_bench::morsel::GRAPH,
-            &match_query(),
-        )
-        .unwrap();
-    assert_eq!(out.count.unwrap(), 16, "pool still serves queries");
+    assert_eq!(
+        match_count(&g),
+        g.expected_match,
+        "pool still serves queries"
+    );
 }
 
 #[test]
 fn morsel_snapshot_stable_under_concurrent_ingest() {
-    use a1_bench::morsel::{GRAPH as MGRAPH, TENANT as MTENANT};
     let srcs = 16usize;
-    let cluster = skewed_cluster(0, srcs);
-    let expected = srcs as u64;
+    let g = skewed_cluster(srcs);
+    let cluster = &g.cluster;
+    let expected = g.expected_match;
 
     // Ingest writers churn the *queried* vertices: every round rewrites the
     // match targets (same rank, new payload — the answer is invariant) and
@@ -393,8 +334,8 @@ fn morsel_snapshot_stable_under_concurrent_ingest() {
                 for i in (w as usize..srcs).step_by(2) {
                     let muts = vec![
                         Mutation::UpsertVertex {
-                            tenant: MTENANT.into(),
-                            graph: MGRAPH.into(),
+                            tenant: TENANT.into(),
+                            graph: HUB_SKEW_GRAPH.into(),
                             ty: "entity".into(),
                             attrs: a1::core::Json::obj(vec![
                                 ("id", a1::core::Json::Str(format!("tgt{i:05}"))),
@@ -403,8 +344,8 @@ fn morsel_snapshot_stable_under_concurrent_ingest() {
                             ]),
                         },
                         Mutation::UpsertVertex {
-                            tenant: MTENANT.into(),
-                            graph: MGRAPH.into(),
+                            tenant: TENANT.into(),
+                            graph: HUB_SKEW_GRAPH.into(),
                             ty: "entity".into(),
                             attrs: a1::core::Json::obj(vec![(
                                 "id",
@@ -427,7 +368,9 @@ fn morsel_snapshot_stable_under_concurrent_ingest() {
         let client = cluster.client();
         readers.push(std::thread::spawn(move || {
             for _ in 0..12 {
-                let out = client.query(MTENANT, MGRAPH, &match_query()).unwrap();
+                let out = client
+                    .query(TENANT, HUB_SKEW_GRAPH, &HubSkewGraph::match_query())
+                    .unwrap();
                 assert_eq!(
                     out.count.unwrap(),
                     expected,
@@ -447,10 +390,6 @@ fn morsel_snapshot_stable_under_concurrent_ingest() {
         writes.load(Ordering::Relaxed) > 0,
         "writers never committed — the race was not exercised"
     );
-    // Quiesced: the answer is still the baseline.
-    let out = cluster
-        .client()
-        .query(MTENANT, MGRAPH, &match_query())
-        .unwrap();
-    assert_eq!(out.count.unwrap(), expected);
+    // Quiesced: the answer is still the reference.
+    assert_eq!(match_count(&g), expected);
 }
