@@ -325,15 +325,7 @@ pub fn enumerate(
 ) -> A1Result<Vec<HalfEdge>> {
     match hdr.edges(dir) {
         EdgeListRef::Empty => Ok(Vec::new()),
-        EdgeListRef::Inline(ptr) => {
-            let buf = tx.read(ptr)?;
-            let (entries, _) = decode_list(buf.data())?;
-            Ok(entries
-                .into_iter()
-                .filter(|e| ty.is_none_or(|t| e.edge_type == t))
-                .take(limit)
-                .collect())
-        }
+        EdgeListRef::Inline(ptr) => enumerate_inline(&tx.read(ptr)?, ty, limit),
         EdgeListRef::Tree => {
             let prefix = match ty {
                 Some(t) => tree_prefix_type(owner_addr, dir, t),
@@ -346,6 +338,31 @@ pub fn enumerate(
                 .collect()
         }
     }
+}
+
+/// The object [`enumerate`] reads for `hdr`'s `dir` list when that list is
+/// inline — what a caller batching its reads prefetches — or `None` for an
+/// empty or B-tree-backed list.
+pub fn inline_list_ptr(hdr: &VertexHeader, dir: Dir) -> Option<Ptr> {
+    match hdr.edges(dir) {
+        EdgeListRef::Inline(ptr) => Some(ptr),
+        EdgeListRef::Empty | EdgeListRef::Tree => None,
+    }
+}
+
+/// [`enumerate`] over an inline list object already in hand (`list` is a
+/// read of [`inline_list_ptr`]).
+pub fn enumerate_inline(
+    list: &ObjBuf,
+    ty: Option<TypeId>,
+    limit: usize,
+) -> A1Result<Vec<HalfEdge>> {
+    let (entries, _) = decode_list(list.data())?;
+    Ok(entries
+        .into_iter()
+        .filter(|e| ty.is_none_or(|t| e.edge_type == t))
+        .take(limit)
+        .collect())
 }
 
 /// Look up a specific half-edge.

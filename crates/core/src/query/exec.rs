@@ -8,13 +8,17 @@
 //! consistent snapshot. Oversized working sets fast-fail; oversized results
 //! page out through continuation tokens.
 //!
-//! Execution is parallel at two nested levels: a hop's work ops dispatch
-//! concurrently across all of their target machines (the Fig. 9 fan-out),
-//! and inside each machine the batch splits into one morsel per worker
-//! thread on that machine's own pool — the level that saves a hub-skewed
-//! frontier, where one machine owns most of the hop and fan-out collapses
-//! to a single ship. Both levels merge in input order, so results do not
-//! depend on how the pool interleaves the jobs.
+//! A hop overlaps its network waits from the coordinator's own thread —
+//! FaRM's fibers (§2.2), modelled as post-then-wait rather than as a thread
+//! parked per wait. Work ops big enough to ship are *posted* to their owners
+//! and run on those machines' pools; everything the coordinator does not
+//! ship runs meanwhile as **one** work op on the calling thread, whose
+//! one-sided reads go out to every owner at once; then the replies are
+//! collected in `MachineId` order. Inside a machine a batch splits into
+//! morsels on that machine's own pool, but only when each morsel gets at
+//! least [`MIN_MORSEL`] vertices — the level that saves a hub-skewed
+//! frontier, where one machine owns most of the hop. Both levels merge in
+//! input order, so results do not depend on how anything interleaves.
 
 use crate::cache::{CachedVertex, VertexCache};
 use crate::catalog::GraphProxies;
@@ -25,7 +29,7 @@ use crate::model::TypeId;
 use crate::query::plan::{AttrPredicate, CmpOp, PlanDir, Query, Select, VertexStep};
 use crate::store::GraphStore;
 use a1_bond::{Schema, Value};
-use a1_farm::{Addr, FarmCluster, JobClass, MachineId, ScopedJob, Txn};
+use a1_farm::{Addr, FarmCluster, FarmResult, JobClass, MachineId, ObjBuf, ScopedJob, Txn};
 use a1_json::Json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,8 +147,8 @@ pub struct HopStats {
     /// Wall-clock nanoseconds from partitioning the frontier to merging the
     /// last reply (the hop's critical path, including queueing).
     pub wall_ns: u64,
-    /// Peak number of shipped work ops simultaneously in flight (at most
-    /// `machines`).
+    /// Peak number of shipped work ops simultaneously in flight — posted
+    /// and not yet collected (at most `machines`).
     pub max_concurrent_ships: u64,
     /// Total morsels this hop's work ops were split into across all target
     /// machines.
@@ -163,6 +167,26 @@ pub struct HopStats {
     /// One-sided fetch posts this hop's work ops issued (see
     /// [`QueryMetrics::fetch_verbs`]).
     pub fetch_verbs: u64,
+}
+
+impl HopStats {
+    fn absorb(&mut self, result: &WorkResult) {
+        let m = &result.metrics;
+        self.vertices_read += m.vertices_read;
+        self.edges_visited += m.edges_visited;
+        self.local_reads += m.local_reads;
+        self.remote_reads += m.remote_reads;
+        self.rpc_req_bytes += m.rpc_req_bytes;
+        self.rpc_reply_bytes += m.rpc_reply_bytes;
+        self.cache_hits += m.cache_hits;
+        self.cache_misses += m.cache_misses;
+        self.fetch_verbs += m.fetch_verbs;
+        self.morsels += result.morsels;
+        self.max_concurrent_morsels = self
+            .max_concurrent_morsels
+            .max(result.max_concurrent_morsels);
+        self.returned += (result.next.len() + result.rows.len()) as u64;
+    }
 }
 
 /// A query's outcome: rows (or a count) plus metrics and an optional
@@ -516,23 +540,28 @@ struct NeighborMemo {
     records: parking_lot::Mutex<HashMap<Addr, Arc<a1_bond::Record>>>,
 }
 
-/// Smallest vertex batch worth its own morsel: below this, the per-morsel
-/// transaction + dispatch overhead outweighs any read overlap.
-const MIN_MORSEL: usize = 4;
+/// Fewest vertices a morsel must get before a batch is split at all: a
+/// batch of `n` runs as `min(workers, n / MIN_MORSEL)` morsels, so nothing
+/// under twice this splits. Below it the hand-off to another thread (and the
+/// second transaction, memo and set of posts, which make a destination
+/// straddling the cut pay twice) costs more than the overlap returns. Chosen
+/// from a sweep of 16 / 32 / 64 / 128 on the canonical benchmark's `kg_read`
+/// and `uniform_cold` (CHANGES.md, PR 19).
+pub const MIN_MORSEL: usize = 128;
 
 /// Execute a worker operator batch: predicate evaluation and edge
 /// enumeration at (ideally) the vertices' home machine (§3.4).
 ///
-/// The batch is split into up to one morsel per simulated core (the
-/// machine's base worker-thread count) dispatched concurrently onto `pool`
-/// — the target machine's own worker pool. Each morsel runs in its own
-/// read-only transaction pinned at the shared `op.snapshot_ts` (snapshot
-/// reads are safe to run concurrently) and results merge in input order,
-/// so the outcome does not depend on the interleaving. Runs as a single
-/// morsel on the calling thread when the batch is small, `pool` is absent,
-/// or the pool is already saturated (a fast path — progress under
-/// saturation is guaranteed structurally by `run_all`'s help-first join,
-/// which drains queued jobs onto the waiting caller).
+/// A batch big enough ([`MIN_MORSEL`]) is split into up to one morsel per
+/// simulated core (the machine's base worker-thread count) dispatched
+/// concurrently onto `pool` — the target machine's own worker pool. Each
+/// morsel runs in its own read-only transaction pinned at the shared
+/// `op.snapshot_ts` (snapshot reads are safe to run concurrently) and
+/// results merge in input order, so the outcome does not depend on the
+/// interleaving. Runs as a single morsel on the calling thread otherwise,
+/// or when `pool` is absent or already saturated (a fast path — progress
+/// under saturation is guaranteed structurally by `run_all`'s help-first
+/// join, which drains queued jobs onto the waiting caller).
 pub fn run_work_op(
     farm: &Arc<FarmCluster>,
     store: &GraphStore,
@@ -545,7 +574,7 @@ pub fn run_work_op(
     let cache = cache.filter(|_| !op.cache_bypass);
     let memo = NeighborMemo::default();
     let workers = farm.config().fabric.threads_per_machine.max(1);
-    let morsels = workers.min(op.vertices.len().div_ceil(MIN_MORSEL)).max(1);
+    let morsels = workers.min(op.vertices.len() / MIN_MORSEL).max(1);
     let pool = pool.filter(|p| morsels > 1 && !p.is_saturated());
     let Some(pool) = pool else {
         let mut result = run_morsel(
@@ -686,21 +715,60 @@ fn revalidate_prefetched(
     Some((entry.hdr, Some(rec)))
 }
 
-/// One morsel of a work op: the per-vertex loop over a contiguous slice of
-/// the batch, in its own read-only transaction joined to the op's snapshot.
+/// Round one's requests for a morsel: one slot per *distinct* address that
+/// passes the step's id filter — a header-sized revalidation probe where
+/// `probe` says the cache can serve the vertex, a full header read
+/// otherwise. Returns each address's slot and the requests in slot order.
+fn head_requests(
+    vertices: &[Addr],
+    id_filter: Option<Addr>,
+    mut probe: impl FnMut(Addr) -> bool,
+) -> (HashMap<Addr, usize>, Vec<a1_farm::FetchReq>) {
+    let mut slot_of = HashMap::with_capacity(vertices.len());
+    let mut reqs = Vec::with_capacity(vertices.len());
+    for &addr in vertices {
+        if id_filter.is_some_and(|idf| addr != idf) {
+            continue;
+        }
+        let slot = reqs.len();
+        if *slot_of.entry(addr).or_insert(slot) != slot {
+            continue; // rare dup in a hand-built op: the first slot serves it
+        }
+        reqs.push(if probe(addr) {
+            a1_farm::FetchReq::Probe(addr)
+        } else {
+            a1_farm::FetchReq::Read(crate::vertex::vertex_ptr(addr))
+        });
+    }
+    (slot_of, reqs)
+}
+
+/// A vertex that passed the step's id, type and attribute filters, with what
+/// the rest of the step needs of it.
+struct Survivor<'a> {
+    addr: Addr,
+    hdr: crate::vertex::VertexHeader,
+    vp: Option<&'a Arc<crate::catalog::VertexProxy>>,
+    rec: Option<Arc<a1_bond::Record>>,
+}
+
+/// One morsel of a work op: a contiguous slice of the batch, in its own
+/// read-only transaction joined to the op's snapshot.
 ///
 /// A morsel of more than one vertex front-loads its fetches into
-/// doorbell-coalesced posts (one per target machine per round) instead of
-/// one verb per object: round one carries every vertex's header read or
-/// cache-revalidation probe, round two the surviving vertices' record
-/// reads. The per-vertex loop then consumes the prefetched slots, falling
-/// back to the scalar read for any address the prefetch could not serve
-/// (probe invalidated by churn, concurrent cache fill), so a wrong
-/// prefetch guess costs a verb, never an answer. Edge enumeration and
-/// match-pattern neighbor reads stay scalar: they are pointer-chasing
-/// (B-tree descent, per-edge data blocks) whose addresses are unknown until
-/// the header is in hand, and under query shipping they are machine-local
-/// anyway.
+/// doorbell-coalesced posts — per round, one doorbell per target machine,
+/// all of them in flight together — instead of one verb per object. Round
+/// one carries every vertex's header read or cache-revalidation probe,
+/// round two the surviving vertices' record reads, round three the inline
+/// edge-list objects of the vertices that passed every filter and go on to
+/// traverse or evaluate a match pattern. The per-vertex code consumes the
+/// prefetched slots, falling back to the scalar read for anything a round
+/// could not serve (probe invalidated by churn, concurrent cache fill), so
+/// a wrong prefetch guess costs a verb, never an answer. B-tree-backed edge
+/// lists, per-edge data blocks and match-pattern neighbor reads stay
+/// scalar: they are pointer-chasing whose addresses are unknown until the
+/// object before them is in hand, and under query shipping they are
+/// machine-local anyway.
 #[allow(clippy::too_many_arguments)]
 fn run_morsel(
     farm: &Arc<FarmCluster>,
@@ -712,7 +780,8 @@ fn run_morsel(
     memo: &NeighborMemo,
     cache: Option<&VertexCache>,
 ) -> A1Result<WorkResult> {
-    use a1_farm::{FetchReq, FetchResp};
+    use crate::vertex::VertexHeader;
+    use a1_farm::FetchResp;
 
     let mut tx = farm.begin_read_only_at(machine, op.snapshot_ts);
     let mut result = WorkResult::default();
@@ -727,46 +796,35 @@ fn run_morsel(
     let need_rec = !op.step.preds.is_empty() || op.emit_rows;
     let batched = vertices.len() > 1;
 
-    // Prefetch round one: one batched post per target machine covering every
-    // vertex's header — a full read on a cache miss, a header-sized
-    // revalidation probe on a hit (or a full read when the entry cannot
-    // serve this shape of read, saving the probe-then-read double verb the
-    // scalar path pays).
-    let mut pre: HashMap<Addr, a1_farm::FarmResult<FetchResp>> = HashMap::new();
+    // Prefetch round one: every vertex's header — a full read on a cache
+    // miss, a header-sized revalidation probe on a hit (or a full read when
+    // the entry cannot serve this shape of read, saving the probe-then-read
+    // double verb the scalar path pays).
+    let mut head_slot: HashMap<Addr, usize> = HashMap::new();
+    let mut heads: Vec<Option<FarmResult<FetchResp>>> = Vec::new();
     if batched {
-        let mut reqs = Vec::with_capacity(vertices.len());
-        let mut order = Vec::with_capacity(vertices.len());
-        for &addr in vertices {
-            if matches!(op.step.id_filter, Some(idf) if addr != idf) {
-                continue;
-            }
-            if order.contains(&addr) {
-                continue; // rare dup in a hand-built op: first slot serves it
-            }
-            match cache.and_then(|c| c.lookup(addr, op.snapshot_ts)) {
-                Some(e) if !(need_rec && e.record.is_none() && !e.hdr.data.is_null()) => {
-                    reqs.push(FetchReq::Probe(addr));
-                }
-                _ => reqs.push(FetchReq::Read(crate::vertex::vertex_ptr(addr))),
-            }
-            order.push(addr);
-        }
-        for (addr, res) in order.into_iter().zip(tx.fetch_many(&reqs)) {
-            pre.insert(addr, res);
-        }
+        let (slot_of, reqs) = head_requests(vertices, op.step.id_filter, |addr| {
+            cache
+                .and_then(|c| c.lookup(addr, op.snapshot_ts))
+                .is_some_and(|e| !(need_rec && e.record.is_none() && !e.hdr.data.is_null()))
+        });
+        head_slot = slot_of;
+        heads = tx.fetch_many(&reqs).into_iter().map(Some).collect();
     }
 
     // Prefetch round two: data records for vertices whose prefetched header
     // survives this op's type filter and needs a payload. Conditions mirror
     // the consuming loop exactly; a wrong guess (concurrent cache churn)
     // only costs a fallback scalar read, never a wrong answer.
-    let mut pre_rec: HashMap<Addr, a1_farm::FarmResult<a1_farm::ObjBuf>> = HashMap::new();
+    let mut pre_rec: HashMap<Addr, FarmResult<ObjBuf>> = HashMap::new();
     if batched && need_rec {
         let mut rec_ptrs: Vec<a1_farm::Ptr> = Vec::new();
         for &addr in vertices {
-            let Some(res) = pre.get(&addr) else { continue };
+            let Some(res) = head_slot.get(&addr).and_then(|&s| heads[s].as_ref()) else {
+                continue;
+            };
             let (hdr, have_rec) = match res {
-                Ok(FetchResp::Obj(buf)) => match crate::vertex::VertexHeader::decode(buf.data()) {
+                Ok(FetchResp::Obj(buf)) => match VertexHeader::decode(buf.data()) {
                     Ok(h) => (h, false),
                     Err(_) => continue,
                 },
@@ -794,21 +852,25 @@ fn run_morsel(
         }
     }
 
+    // Filter: header, type and attribute predicates — everything that
+    // decides whether a vertex survives before its edges are looked at.
+    let mut survivors: Vec<Survivor<'_>> = Vec::with_capacity(vertices.len());
     'vertices: for &addr in vertices {
         if let Some(idf) = op.step.id_filter {
             if addr != idf {
                 continue;
             }
         }
+        let head = head_slot.get(&addr).map(|&s| &mut heads[s]);
 
         // Cross-query cache first: a revalidated hit replaces the header (and
         // payload) transfer with header-sized version probes.
-        let mut served: Option<(crate::vertex::VertexHeader, Option<Arc<a1_bond::Record>>)> = None;
+        let mut served: Option<(VertexHeader, Option<Arc<a1_bond::Record>>)> = None;
         if let Some(c) = cache {
             if let Some(entry) = c.lookup(addr, op.snapshot_ts) {
-                served = match pre.get(&addr) {
-                    Some(resp) => revalidate_prefetched(resp, &entry, need_rec),
-                    None => revalidate_hit(&mut tx, addr, &entry, need_rec),
+                served = match head.as_deref() {
+                    Some(Some(resp)) => revalidate_prefetched(resp, &entry, need_rec),
+                    _ => revalidate_hit(&mut tx, addr, &entry, need_rec),
                 };
                 if served.is_none() {
                     // The entry no longer matches live memory (or can't
@@ -844,9 +906,9 @@ fn run_morsel(
                 // cache entry that has since been invalidated) cannot serve
                 // a full header, so it falls back to the scalar read — same
                 // as the scalar path's probe-then-read sequence.
-                let (version, hdr) = match pre.remove(&addr) {
+                let (version, hdr) = match head.and_then(Option::take) {
                     Some(Ok(FetchResp::Obj(buf))) => {
-                        let hdr = crate::vertex::VertexHeader::decode(buf.data())?;
+                        let hdr = VertexHeader::decode(buf.data())?;
                         (buf.version, hdr)
                     }
                     Some(Err(a1_farm::FarmError::NotFound(_))) => continue, // deleted under us
@@ -935,21 +997,63 @@ fn run_morsel(
                 }
             }
         }
+        survivors.push(Survivor { addr, hdr, vp, rec });
+    }
 
+    // Prefetch round three: the inline edge-list objects the survivors are
+    // about to enumerate, in every direction this step's match patterns and
+    // traversal look. Every list in a typical graph is inline (§3.2: 99.9 %
+    // of vertices stay under the spill threshold), so this turns a scalar
+    // read per vertex into a doorbell per owner.
+    let mut lists: HashMap<Addr, FarmResult<ObjBuf>> = HashMap::new();
+    if batched {
+        let looks = |d: Dir| {
+            op.step.matches.iter().any(|m| m.dir == d)
+                || op.step.traverse.as_ref().is_some_and(|t| t.dir == d)
+        };
+        let list_ptrs: Vec<a1_farm::Ptr> = [Dir::Out, Dir::In]
+            .into_iter()
+            .filter(|&d| looks(d))
+            .flat_map(|d| {
+                survivors
+                    .iter()
+                    .filter_map(move |s| edges::inline_list_ptr(&s.hdr, d))
+            })
+            .collect();
+        if !list_ptrs.is_empty() {
+            for (p, res) in list_ptrs.iter().zip(tx.read_many(&list_ptrs)) {
+                lists.insert(p.addr, res);
+            }
+        }
+    }
+    // `edges::enumerate`, served from round three where it can be: an empty
+    // or B-tree-backed list, or a slot the prefetch could not serve, takes
+    // the scalar path (which re-raises a real error).
+    let enumerate =
+        |tx: &mut Txn, s: &Survivor<'_>, dir: Dir, ty: TypeId| match edges::inline_list_ptr(
+            &s.hdr, dir,
+        )
+        .and_then(|p| lists.get(&p.addr))
+        {
+            Some(Ok(list)) => edges::enumerate_inline(list, Some(ty), usize::MAX),
+            _ => edges::enumerate(
+                tx,
+                &proxies.graph.edge_tree,
+                s.addr,
+                &s.hdr,
+                dir,
+                Some(ty),
+                usize::MAX,
+            ),
+        };
+
+    'survivors: for s in &survivors {
         // Match patterns (star queries, Q3): every pattern must have at
         // least one satisfying edge.
         for m in &op.step.matches {
-            let hes = edges::enumerate(
-                &mut tx,
-                &proxies.graph.edge_tree,
-                addr,
-                &hdr,
-                m.dir,
-                Some(m.edge_type),
-                usize::MAX,
-            )?;
+            let hes = enumerate(&mut tx, s, m.dir, m.edge_type)?;
             result.metrics.edges_visited += hes.len() as u64;
-            count_read(&mut result.metrics, addr);
+            count_read(&mut result.metrics, s.addr);
             let mut ok = false;
             for he in &hes {
                 if let Some(target) = m.target {
@@ -1018,23 +1122,15 @@ fn run_morsel(
                 }
             }
             if !ok {
-                continue 'vertices;
+                continue 'survivors;
             }
         }
 
         // Traversal: enumerate half-edges to the next hop.
         if let Some(t) = &op.step.traverse {
-            let hes = edges::enumerate(
-                &mut tx,
-                &proxies.graph.edge_tree,
-                addr,
-                &hdr,
-                t.dir,
-                Some(t.edge_type),
-                usize::MAX,
-            )?;
+            let hes = enumerate(&mut tx, s, t.dir, t.edge_type)?;
             result.metrics.edges_visited += hes.len() as u64;
-            count_read(&mut result.metrics, addr);
+            count_read(&mut result.metrics, s.addr);
             for he in hes {
                 if !t.edge_preds.is_empty() {
                     let Some(ep) = proxies.edge_type_by_id(t.edge_type) else {
@@ -1062,12 +1158,12 @@ fn run_morsel(
 
         // Row emission at the final hop.
         if op.emit_rows {
-            let Some(vp) = vp else { continue };
-            let row = render_row(&vp.def.schema, &vp.def.name, rec.as_deref(), &op.select);
-            result.rows.push((addr, row));
+            let Some(vp) = s.vp else { continue };
+            let row = render_row(&vp.def.schema, &vp.def.name, s.rec.as_deref(), &op.select);
+            result.rows.push((s.addr, row));
         } else if op.step.traverse.is_none() {
             // Terminal filter step (e.g. a count): emit the survivors.
-            result.next.push(addr);
+            result.next.push(s.addr);
         }
     }
     result.metrics.fetch_verbs = tx.fetch_verbs();
@@ -1125,11 +1221,16 @@ fn render_row(
 
 // -------------------------------------------------------------- coordinator
 
-/// Ship callback: send a [`WorkOp`] to a remote machine, returning its
-/// [`WorkResult`]. Provided by the server layer (fabric RPC + the
-/// configured wire format). `Sync` because the coordinator invokes it from
-/// several worker threads at once.
-pub type ShipFn<'a> = dyn Fn(MachineId, &WorkOp) -> A1Result<WorkResult> + Sync + 'a;
+/// A shipped [`WorkOp`] whose request is on the wire: call it to block for
+/// the reply and get the [`WorkResult`].
+pub type PendingShip<'a> = Box<dyn FnOnce() -> A1Result<WorkResult> + 'a>;
+
+/// Ship callback: *post* a [`WorkOp`] to a remote machine and return at
+/// once, handing back the wait half. Provided by the server layer (fabric
+/// RPC + the configured wire format). The coordinator posts all of a wave's
+/// ships from its own thread, works on its local op while they execute, and
+/// only then collects.
+pub type ShipFn<'a> = dyn Fn(MachineId, &WorkOp) -> A1Result<PendingShip<'a>> + 'a;
 
 /// The coordinator's environment: everything about *where* a query runs, as
 /// opposed to *what* runs (which stays in [`coordinate`]'s own parameters).
@@ -1147,11 +1248,12 @@ pub struct Coordinator<'a> {
     pub cache_bypass: bool,
 }
 
-/// Coordinate a compiled query (paper Fig. 9). Each hop's batches — remote
-/// ships *and* inline local runs — are dispatched onto the coordinator
-/// machine's worker pool concurrently (one slot per target machine) and
-/// their replies merged in `MachineId` order, so results do not depend on
-/// which reply lands first.
+/// Coordinate a compiled query (paper Fig. 9). Per hop the frontier is
+/// partitioned by owner; every part big enough to ship is posted to its
+/// owner, every other part — the coordinator's own and the sub-threshold
+/// ones — is coalesced into one work op that runs on the calling thread
+/// while the ships execute, and the results are merged in `MachineId` order,
+/// so they do not depend on which reply lands first.
 pub fn coordinate(
     coord: &Coordinator<'_>,
     tenant: &str,
@@ -1159,7 +1261,7 @@ pub fn coordinate(
     compiled: &CompiledQuery,
     initial_frontier: Vec<Addr>,
     snapshot_ts: u64,
-    ship: &ShipFn,
+    ship: &ShipFn<'_>,
 ) -> A1Result<QueryOutcome> {
     let Coordinator {
         farm,
@@ -1253,29 +1355,27 @@ pub fn coordinate(
             None
         };
 
-        // Ship & merge: dispatch one wave of work ops at a time — one slot
-        // per target machine — and aggregate replies in dispatch order.
-        // Limit-sliced batches drain wave by wave (a wave may spend several
-        // slots on slices of the same machine's batch) so early termination
-        // can cut the tail.
+        // Ship & merge, one wave at a time — up to one part per owner.
+        // Limit-sliced batches drain wave by wave (a wave may hold several
+        // slices of the same machine's batch) so early termination can cut
+        // the tail.
         let window = (hop.machines as usize).max(1);
-        let in_flight = AtomicU64::new(0);
-        let peak_ships = AtomicU64::new(0);
-        let run_one = |host: MachineId, op: &WorkOp, is_ship: bool| -> A1Result<WorkResult> {
-            if is_ship {
-                let cur = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                peak_ships.fetch_max(cur, Ordering::SeqCst);
-                let result = ship(host, op);
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                result
-            } else {
-                // Few vertices (or the coordinator's own batch): cheaper to
-                // read remotely than to RPC (§3.4). Still morsel-parallel on
-                // the coordinator's pool — under hub skew the coordinator
-                // machine can own most of the frontier itself.
-                run_work_op(farm, store, proxies, machine, op, cache, Some(pool))
-            }
+        let work_op = |vertices: Vec<Addr>| WorkOp {
+            tenant: tenant.to_string(),
+            graph: graph.to_string(),
+            snapshot_ts,
+            vertices,
+            step: step.clone(),
+            emit_rows,
+            select: compiled.select.clone(),
+            cache_bypass,
         };
+        /// One part of a wave, in merge order: the index of its ship, or
+        /// its span of the local op's vertices.
+        enum Part {
+            Shipped(usize),
+            Local(std::ops::Range<usize>),
+        }
 
         let mut next = Vec::new();
         loop {
@@ -1284,70 +1384,88 @@ pub fn coordinate(
                     break; // early termination: enough rows in hand
                 }
             }
-            let mut wave: Vec<(MachineId, WorkOp, bool)> = Vec::new();
-            while wave.len() < window {
+            let mut parts: Vec<Part> = Vec::new();
+            let mut ships: Vec<(MachineId, WorkOp)> = Vec::new();
+            let mut local: Vec<Addr> = Vec::new();
+            while parts.len() < window {
                 let Some((host, vertices, is_ship)) = next_part() else {
                     break;
                 };
-                let op = WorkOp {
-                    tenant: tenant.to_string(),
-                    graph: graph.to_string(),
-                    snapshot_ts,
-                    vertices,
-                    step: step.clone(),
-                    emit_rows,
-                    select: compiled.select.clone(),
-                    cache_bypass,
-                };
-                wave.push((host, op, is_ship));
+                if is_ship {
+                    parts.push(Part::Shipped(ships.len()));
+                    ships.push((host, work_op(vertices)));
+                } else {
+                    // Few vertices (or the coordinator's own batch): cheaper
+                    // to read remotely than to RPC (§3.4). All such parts
+                    // share one op: one transaction, one neighbor memo, and
+                    // prefetch rounds that ring each owner's doorbell once.
+                    let start = local.len();
+                    local.extend(vertices);
+                    parts.push(Part::Local(start..local.len()));
+                }
             }
-            if wave.is_empty() {
+            if parts.is_empty() {
                 break;
             }
-            let results: Vec<A1Result<WorkResult>> = if wave.len() == 1 {
-                wave.iter()
-                    .map(|(host, op, is_ship)| run_one(*host, op, *is_ship))
-                    .collect()
-            } else {
-                // Fan-out waves run in the Query lane: this work was already
-                // admitted at the front door and must stay ahead of ingest.
-                pool.run_all_class(
-                    JobClass::Query,
-                    wave.iter()
-                        .map(|(host, op, is_ship)| {
-                            let run_one = &run_one;
-                            Box::new(move || run_one(*host, op, *is_ship))
-                                as ScopedJob<'_, A1Result<WorkResult>>
+            let local_op = (!local.is_empty()).then(|| work_op(local));
+            hop.max_concurrent_ships = hop.max_concurrent_ships.max(ships.len() as u64);
+
+            // Post every ship, then run the local op while they execute:
+            // the waits overlap on this one thread. (Under simulation the
+            // pool hands back a seeded order instead, and each post
+            // completes before it returns.)
+            let mut pending: Vec<Option<A1Result<PendingShip<'_>>>> =
+                ships.iter().map(|_| None).collect();
+            let mut local_result = None;
+            for k in pool.dispatch_order(ships.len() + usize::from(local_op.is_some())) {
+                match ships.get(k) {
+                    Some((host, op)) => pending[k] = Some(ship(*host, op)),
+                    // Still morsel-parallel on the coordinator's pool past
+                    // the split size — under hub skew the coordinator
+                    // machine can own most of the frontier itself.
+                    None => {
+                        local_result = local_op.as_ref().map(|op| {
+                            run_work_op(farm, store, proxies, machine, op, cache, Some(pool))
                         })
-                        .collect(),
-                )
-            };
-            for ((_, _, is_ship), result) in wave.iter().zip(results) {
-                let result = result?;
-                if *is_ship {
-                    metrics.rpcs += 1;
-                    hop.rpcs += 1;
+                    }
                 }
-                metrics.absorb(&result.metrics);
-                hop.vertices_read += result.metrics.vertices_read;
-                hop.edges_visited += result.metrics.edges_visited;
-                hop.local_reads += result.metrics.local_reads;
-                hop.remote_reads += result.metrics.remote_reads;
-                hop.rpc_req_bytes += result.metrics.rpc_req_bytes;
-                hop.rpc_reply_bytes += result.metrics.rpc_reply_bytes;
-                hop.cache_hits += result.metrics.cache_hits;
-                hop.cache_misses += result.metrics.cache_misses;
-                hop.fetch_verbs += result.metrics.fetch_verbs;
-                hop.morsels += result.morsels;
-                hop.max_concurrent_morsels = hop
-                    .max_concurrent_morsels
-                    .max(result.max_concurrent_morsels);
-                hop.returned += (result.next.len() + result.rows.len()) as u64;
-                next.extend(result.next);
-                rows.extend(result.rows);
             }
+
+            // Collect and merge in part order. The local op's rows come
+            // back in its input order, so each local part's rows are the
+            // next run of them.
+            let mut local_rows = Vec::new().into_iter().peekable();
+            if let Some(result) = local_result {
+                let result = result?;
+                metrics.absorb(&result.metrics);
+                hop.absorb(&result);
+                next.extend(result.next);
+                local_rows = result.rows.into_iter().peekable();
+            }
+            for part in parts {
+                match part {
+                    Part::Shipped(k) => {
+                        let collect = pending[k].take().expect("every ship was posted")?;
+                        let result = collect()?;
+                        metrics.rpcs += 1;
+                        hop.rpcs += 1;
+                        metrics.absorb(&result.metrics);
+                        hop.absorb(&result);
+                        next.extend(result.next);
+                        rows.extend(result.rows);
+                    }
+                    Part::Local(span) => {
+                        let op = local_op.as_ref().expect("a local part has a local op");
+                        for v in &op.vertices[span] {
+                            if local_rows.peek().is_some_and(|(addr, _)| addr == v) {
+                                rows.extend(local_rows.next());
+                            }
+                        }
+                    }
+                }
+            }
+            debug_assert!(local_rows.next().is_none(), "a row outside every part");
         }
-        hop.max_concurrent_ships = peak_ships.load(Ordering::SeqCst);
         hop.wall_ns = hop_start.elapsed().as_nanos() as u64;
         per_hop.push(hop);
         frontier = dedup_addrs(next);
@@ -1401,6 +1519,32 @@ mod tests {
         };
         assert!((m.local_read_fraction() - 0.95).abs() < 1e-9);
         assert_eq!(QueryMetrics::default().local_read_fraction(), 1.0);
+    }
+
+    #[test]
+    fn head_requests_give_each_distinct_address_one_slot() {
+        use a1_farm::{FetchReq, RegionId};
+        let addr = |i: u32| Addr::new(RegionId(1 + i % 3), 64 * (1 + i / 3));
+        let (a, b, c) = (addr(0), addr(1), addr(2));
+        // Repeats, in a hand-built order; `b` is the one the cache can serve.
+        let (slot_of, reqs) = head_requests(&[a, b, a, c, b, a], None, |v| v == b);
+        assert_eq!(reqs.len(), 3, "one request per distinct address");
+        assert_eq!((slot_of[&a], slot_of[&b], slot_of[&c]), (0, 1, 2));
+        assert!(matches!(reqs[0], FetchReq::Read(p) if p.addr == a));
+        assert!(matches!(reqs[1], FetchReq::Probe(v) if v == b));
+        assert!(matches!(reqs[2], FetchReq::Read(p) if p.addr == c));
+
+        // The id filter drops everything else before it takes a slot.
+        let (slot_of, reqs) = head_requests(&[a, b, a, c, b], Some(b), |_| false);
+        assert_eq!((reqs.len(), slot_of.len(), slot_of[&b]), (1, 1, 0));
+
+        // Linear, not quadratic: a morsel-sized run of distinct addresses
+        // with every one repeated keeps exactly one slot each.
+        let many: Vec<Addr> = (0..20_000).map(addr).collect();
+        let doubled: Vec<Addr> = many.iter().chain(&many).copied().collect();
+        let (slot_of, reqs) = head_requests(&doubled, None, |_| false);
+        assert_eq!((reqs.len(), slot_of.len()), (many.len(), many.len()));
+        assert!(many.iter().enumerate().all(|(i, v)| slot_of[v] == i));
     }
 
     #[test]

@@ -491,9 +491,9 @@ impl A1Inner {
     fn handle_work(&self, machine: MachineId, op: &WorkOp) -> A1Result<WorkResult> {
         let backend = self.backend(machine);
         let proxies = self.proxies(backend, &op.tenant, &op.graph)?;
-        // This machine's own pool: the shipped batch splits into morsels
-        // executing next to the data (intra-machine parallelism, the level
-        // below the coordinator's cross-machine fan-out).
+        // This machine's own pool: a shipped batch past the split size
+        // splits into morsels executing next to the data (intra-machine
+        // parallelism, the level below the coordinator's posted ships).
         let pool = self.farm.fabric().machine(machine).ok().map(|m| m.pool());
         // The executing machine's own cache — shipped ops consult the cache
         // next to the data they read. Per-client bypass arrives stamped on
@@ -555,20 +555,27 @@ impl A1Inner {
         let snapshot_ts = tx.read_ts();
         let (compiled, frontier) = exec::compile(&self.store, &mut tx, &proxies, &query)?;
 
-        let fabric = self.farm.fabric().clone();
+        let fabric = self.farm.fabric();
         let fmt = self.cfg.wire_format;
-        let ship = |host: MachineId, op: &WorkOp| -> A1Result<WorkResult> {
+        let ship_failed = |e| A1Error::Internal(format!("ship rpc: {e}"));
+        // Post half here, wait half in the returned closure: the coordinator
+        // posts a whole wave before it collects anything.
+        let ship = move |host: MachineId, op: &WorkOp| -> A1Result<exec::PendingShip<'_>> {
             let payload = Bytes::from(wire::encode_work_op(op, fmt));
             let req_bytes = payload.len() as u64;
-            let reply = fabric
-                .rpc(machine, host, payload)
-                .map_err(|e| A1Error::Internal(format!("ship rpc: {e}")))?;
-            let mut result = wire::decode_work_result(&reply)?;
-            // Bytes-on-wire accounting: the worker cannot know its payload
-            // sizes, so the coordinator stamps them on the merged metrics.
-            result.metrics.rpc_req_bytes = req_bytes;
-            result.metrics.rpc_reply_bytes = reply.len() as u64;
-            Ok(result)
+            let pending = fabric
+                .post_rpc(machine, host, payload)
+                .map_err(ship_failed)?;
+            Ok(Box::new(move || {
+                let reply = pending.wait().map_err(ship_failed)?;
+                let mut result = wire::decode_work_result(&reply)?;
+                // Bytes-on-wire accounting: the worker cannot know its
+                // payload sizes, so the coordinator stamps them on the
+                // merged metrics.
+                result.metrics.rpc_req_bytes = req_bytes;
+                result.metrics.rpc_reply_bytes = reply.len() as u64;
+                Ok(result)
+            }))
         };
 
         // Identified clients may carry a tighter working-set budget than the

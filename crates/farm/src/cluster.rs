@@ -9,7 +9,7 @@ use crate::pyco::PycoDriver;
 use crate::region::{OldVersion, Region};
 use crate::store::FarmMachine;
 use crate::txn::{compose_object, Hint, ObjBuf, Txn, TxnMode, WriteOp};
-use a1_rdma::{Fabric, FabricConfig, MachineId, NetError};
+use a1_rdma::{Fabric, FabricConfig, MachineId, NetError, ReadSpec};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -453,8 +453,10 @@ impl FarmCluster {
     /// revalidation probes ride in the **same** post as its header reads.
     ///
     /// Specs are grouped by resolved primary (one region resolve per
-    /// distinct region, per the PR 5 resolve-once convention) and each group
-    /// is posted with a single [`Fabric::read_many`] doorbell. Entries that
+    /// distinct region, per the PR 5 resolve-once convention) and the groups
+    /// go out together through [`Fabric::read_scatter`]: one doorbell per
+    /// primary, posted in `MachineId` order (so the fault injector sees the
+    /// same sequence every run), one wait for the slowest. Entries that
     /// come back locked, uncommitted, or with a stale size hint fall back to
     /// the scalar path, which owns the lock-wait spin protocol; a batch-level
     /// network failure falls back to the scalar path for the whole group so
@@ -464,7 +466,7 @@ impl FarmCluster {
     /// read posts issued (doorbells + scalar fallback reads) for the
     /// caller's verb accounting.
     ///
-    /// [`Fabric::read_many`]: a1_rdma::Fabric::read_many
+    /// [`Fabric::read_scatter`]: a1_rdma::Fabric::read_scatter
     pub(crate) fn read_raw_many(
         &self,
         origin: MachineId,
@@ -475,7 +477,7 @@ impl FarmCluster {
         // Resolve each distinct region once, then group spec indices by
         // primary so same-destination reads share a doorbell.
         let mut resolved: HashMap<RegionId, FarmResult<MachineId>> = HashMap::new();
-        let mut groups: HashMap<MachineId, Vec<usize>> = HashMap::new();
+        let mut groups: BTreeMap<MachineId, Vec<usize>> = BTreeMap::new();
         for (i, &(addr, _)) in specs.iter().enumerate() {
             let rid = addr.region();
             let primary = resolved
@@ -495,19 +497,26 @@ impl FarmCluster {
                 self.read_raw(origin, Ptr::new(addr, want))
             }
         };
-        for (primary, idxs) in groups {
-            let batch: Vec<(u64, usize, usize)> = idxs
-                .iter()
-                .map(|&i| {
-                    let (addr, want) = specs[i];
-                    (
-                        addr.region().0 as u64,
-                        addr.offset() as usize,
-                        HEADER + want as usize,
-                    )
-                })
-                .collect();
-            match self.fabric.read_many(origin, primary, &batch) {
+        let batches: Vec<(MachineId, Vec<ReadSpec>)> = groups
+            .iter()
+            .map(|(&primary, idxs)| {
+                let batch = idxs
+                    .iter()
+                    .map(|&i| {
+                        let (addr, want) = specs[i];
+                        (
+                            addr.region().0 as u64,
+                            addr.offset() as usize,
+                            HEADER + want as usize,
+                        )
+                    })
+                    .collect();
+                (primary, batch)
+            })
+            .collect();
+        let posted = self.fabric.read_scatter(origin, &batches);
+        for (idxs, posted) in groups.into_values().zip(posted) {
+            match posted {
                 Ok(results) => {
                     verbs += 1;
                     for (&i, res) in idxs.iter().zip(results) {
@@ -569,54 +578,30 @@ impl FarmCluster {
         )
     }
 
-    /// Serve a read-only snapshot read from the primary's old-version store.
+    /// Serve a read-only snapshot read from the primary's old-version store:
+    /// the one-object case of [`read_old_versions`](Self::read_old_versions).
     pub(crate) fn read_old_version(
         &self,
         origin: MachineId,
         ptr: Ptr,
         read_ts: u64,
     ) -> FarmResult<ObjBuf> {
-        let (region, primary) = self.resolve(ptr.addr.region())?;
-        // FaRMv2 takes an extra round trip to fetch an old version.
-        if primary != origin {
-            self.fabric.charge_ns(self.cfg.fabric.latency.one_sided_ns(
-                false,
-                self.fabric.rack_of(origin) == self.fabric.rack_of(primary),
-                ptr.size as usize,
-            ));
-        }
-        let off = ptr.addr.offset();
-        let found = region
-            .with_meta(|meta| {
-                match meta.snapshot_lookup(off, read_ts) {
-                    Some(old) => {
-                        Some((old.version, old.state, Bytes::copy_from_slice(&old.payload)))
-                    }
-                    None if read_ts < meta.history_floor => None, // too old
-                    None => Some((0, STATE_FREE, Bytes::new())),  // didn't exist yet
-                }
-            })
-            .ok_or_else(|| FarmError::Unavailable("old-version read hit a backup".into()))?;
-        match found {
-            None => Err(FarmError::SnapshotTooOld),
-            Some((0, _, _)) => Err(FarmError::NotFound(ptr.addr)),
-            Some((_, STATE_TOMBSTONE, _)) => Err(FarmError::NotFound(ptr.addr)),
-            Some((version, _, payload)) => Ok(ObjBuf {
-                ptr,
-                version,
-                capacity: payload.len().max(ptr.size as usize) as u32,
-                data: payload,
-            }),
-        }
+        let (mut found, _) = self.read_old_versions(origin, &[ptr], read_ts);
+        found.pop().expect("one ptr in, one result out")
     }
 
-    /// Batched [`read_old_version`](Self::read_old_version): old-version
-    /// fetches grouped per destination primary, each group charged **one**
-    /// batched round trip instead of one per object — so a work op that
-    /// trips over several concurrently-updated objects pays a single extra
-    /// doorbell per machine for its snapshot reads, not one per vertex.
-    /// Returns per-entry results in input order plus the number of posts
-    /// charged (remote groups only; local lookups are memory reads).
+    /// Old-version fetches (FaRMv2 takes an extra round trip to the primary
+    /// for one), grouped per destination primary: each remote group is
+    /// **one** post through [`Fabric::post_reads`] — fault-gated and
+    /// accounted like any other one-sided read, in `MachineId` order, all
+    /// groups in flight together — so a work op that trips over several
+    /// concurrently-updated objects pays a single extra doorbell per machine
+    /// for its snapshot reads, not one per vertex, and a primary the reader
+    /// is partitioned from does not answer. Returns per-entry results in
+    /// input order plus the number of posts charged (remote groups only;
+    /// local lookups are memory reads).
+    ///
+    /// [`Fabric::post_reads`]: a1_rdma::Fabric::post_reads
     pub(crate) fn read_old_versions(
         &self,
         origin: MachineId,
@@ -624,8 +609,7 @@ impl FarmCluster {
         read_ts: u64,
     ) -> (Vec<FarmResult<ObjBuf>>, u64) {
         let mut out: Vec<Option<FarmResult<ObjBuf>>> = vec![None; ptrs.len()];
-        let mut verbs = 0u64;
-        let mut groups: HashMap<MachineId, Vec<usize>> = HashMap::new();
+        let mut groups: BTreeMap<MachineId, Vec<usize>> = BTreeMap::new();
         let mut regions: HashMap<RegionId, FarmResult<(Arc<Region>, MachineId)>> = HashMap::new();
         for (i, ptr) in ptrs.iter().enumerate() {
             let rid = ptr.addr.region();
@@ -638,20 +622,27 @@ impl FarmCluster {
                 Err(e) => out[i] = Some(Err(e.clone())),
             }
         }
+        let posts: Vec<(MachineId, usize, usize)> = groups
+            .iter()
+            .filter(|(&primary, _)| primary != origin)
+            .map(|(&primary, idxs)| {
+                let total = idxs.iter().map(|&i| ptrs[i].size as usize).sum();
+                (primary, idxs.len(), total)
+            })
+            .collect();
+        let verbs = posts.len() as u64;
+        let mut posted = self.fabric.post_reads(origin, &posts).into_iter();
         for (primary, idxs) in groups {
-            if primary != origin {
-                verbs += 1;
-                let total: usize = idxs.iter().map(|&i| ptrs[i].size as usize).sum();
-                self.fabric
-                    .charge_ns(self.cfg.fabric.latency.one_sided_batch_ns(
-                        false,
-                        self.fabric.rack_of(origin) == self.fabric.rack_of(primary),
-                        idxs.len(),
-                        total,
-                    ));
-            }
-            for &i in &idxs {
-                out[i] = Some(self.lookup_old_version(&regions, ptrs[i], read_ts));
+            let delivered = if primary == origin {
+                Ok(())
+            } else {
+                posted.next().expect("one ruling per remote group")
+            };
+            for i in idxs {
+                out[i] = Some(match &delivered {
+                    Ok(()) => self.lookup_old_version(&regions, ptrs[i], read_ts),
+                    Err(e) => Err(e.clone().into()),
+                });
             }
         }
         (
@@ -663,7 +654,7 @@ impl FarmCluster {
     }
 
     /// The store-side half of an old-version read: meta lookup only, no
-    /// latency charge (shared by the scalar and batched paths).
+    /// network.
     fn lookup_old_version(
         &self,
         regions: &HashMap<RegionId, FarmResult<(Arc<Region>, MachineId)>>,

@@ -2,8 +2,11 @@
 //! `fetch_many` must return byte-identical answers to their scalar
 //! counterparts while posting far fewer one-sided verbs.
 
-use a1_farm::{FarmCluster, FarmConfig, FarmError, FetchReq, FetchResp, Hint, MachineId, Ptr};
-use std::sync::Arc;
+use a1_farm::{
+    FarmCluster, FarmConfig, FarmError, FaultDecision, FaultInjector, FetchReq, FetchResp, Hint,
+    MachineId, NetOp, Ptr,
+};
+use std::sync::{Arc, Mutex};
 
 /// Allocate `n` objects spread across the cluster's machines, each with a
 /// distinct payload, committed in one transaction per object.
@@ -228,4 +231,110 @@ fn doomed_read_write_txn_conflicts_in_slot() {
         got[0]
     );
     tx.abort();
+}
+
+/// Records the destination of every remote one-sided read; once `cut` is
+/// set, drops them instead (a partition that starts mid-transaction).
+#[derive(Default)]
+struct ReadTap {
+    seen: Mutex<Vec<MachineId>>,
+    cut: std::sync::atomic::AtomicBool,
+}
+
+impl FaultInjector for ReadTap {
+    fn decide(&self, op: NetOp, from: MachineId, to: MachineId, _: usize) -> FaultDecision {
+        if op != NetOp::Read || from == to {
+            return FaultDecision::Deliver;
+        }
+        if self.cut.load(std::sync::atomic::Ordering::SeqCst) {
+            return FaultDecision::Drop;
+        }
+        self.seen.lock().unwrap().push(to);
+        FaultDecision::Deliver
+    }
+}
+
+/// Post order is part of what a seeded simulation replays (the injector's
+/// decision sequence, its trace lines, virtual-clock advances): a fetch
+/// that spans machines posts to them in ascending `MachineId` order, however
+/// the requests were ordered and whatever the process's hash seed.
+#[test]
+fn batched_posts_go_out_in_machine_order() {
+    let farm = FarmCluster::start(FarmConfig::small(6));
+    let mut ptrs = seed_objects(&farm, 18, 6);
+    ptrs.reverse();
+    ptrs.swap(2, 11);
+    let tap = Arc::new(ReadTap::default());
+    farm.fabric().set_fault_injector(Some(tap.clone()));
+    let mut tx = farm.begin_read_only(MachineId(0));
+    assert!(tx.read_many(&ptrs).iter().all(Result::is_ok));
+    let five: Vec<MachineId> = (1..6).map(MachineId).collect();
+    assert_eq!(*tap.seen.lock().unwrap(), five, "header fetch");
+
+    // Same for the old-version round: move every object past a pinned
+    // snapshot, then read them all through it.
+    let mut old = farm.begin_read_only(MachineId(0));
+    for &p in &ptrs {
+        farm.run(MachineId(0), move |wtx| {
+            let buf = wtx.read(p)?;
+            wtx.update(&buf, vec![0xEE; 16])
+        })
+        .unwrap();
+    }
+    tap.seen.lock().unwrap().clear();
+    assert!(old.read_many(&ptrs).iter().all(Result::is_ok));
+    assert_eq!(
+        *tap.seen.lock().unwrap(),
+        [&five[..], &five[..]].concat(),
+        "current versions, then old versions"
+    );
+}
+
+/// Fetching an old version is a round trip to the primary like any other:
+/// a reader cut off from the primary between reading the (too new) current
+/// version and fetching the old one gets a clean error, not an answer from
+/// across the partition — and the snapshot is still there once it heals.
+#[test]
+fn old_version_read_across_a_partition_fails_clean() {
+    let farm = FarmCluster::start(FarmConfig::small(2));
+    let ptr = farm
+        .run(MachineId(1), |tx| {
+            tx.alloc(16, Hint::Machine(MachineId(1)), &[1; 16])
+        })
+        .unwrap();
+    let ts = farm.begin_read_only(MachineId(0)).read_ts();
+    farm.run(MachineId(1), move |wtx| {
+        let buf = wtx.read(ptr)?;
+        wtx.update(&buf, vec![2; 16])
+    })
+    .unwrap();
+
+    /// Lets one remote read through, then cuts.
+    struct CutAfterOne(ReadTap);
+    impl FaultInjector for CutAfterOne {
+        fn decide(&self, op: NetOp, from: MachineId, to: MachineId, len: usize) -> FaultDecision {
+            let ruling = self.0.decide(op, from, to, len);
+            if !self.0.seen.lock().unwrap().is_empty() {
+                self.0.cut.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+            ruling
+        }
+    }
+    for batched in [false, true] {
+        let tap = Arc::new(CutAfterOne(ReadTap::default()));
+        farm.fabric().set_fault_injector(Some(tap.clone()));
+        let mut tx = farm.begin_read_only_at(MachineId(0), ts);
+        let got = if batched {
+            tx.read_many(&[ptr]).pop().unwrap()
+        } else {
+            tx.read(ptr)
+        };
+        assert!(
+            matches!(got, Err(FarmError::Unavailable(_))),
+            "batched={batched}: {got:?}"
+        );
+        assert_eq!(tap.0.seen.lock().unwrap().len(), 1, "current version only");
+        farm.fabric().set_fault_injector(None);
+        assert_eq!(tx.read(ptr).unwrap().data(), &[1; 16], "healed");
+    }
 }

@@ -1,4 +1,16 @@
 //! The fabric: one-sided verbs, RPC and datagrams between machines.
+//!
+//! Every operation has two halves. *Accounting* — the fault gate, the
+//! counters, the modelled nanoseconds added to `sim_ns` — happens on the
+//! caller's thread the moment the operation is posted, per destination, and
+//! is the same whatever else is in flight. *Waiting* — letting that modelled
+//! time elapse (an injected sleep under the real clock, an advance of the
+//! virtual one) — is separate, so operations that a NIC would have in flight
+//! together wait together: [`Fabric::read_scatter`] posts a doorbell to each
+//! destination and waits for the slowest, and an RPC posted with
+//! [`Fabric::post_rpc`] spends its wire time on the target's thread while
+//! the poster carries on, to be collected by [`PendingRpc::wait`]. The
+//! scalar verbs and [`Fabric::rpc`] are the post-then-wait-at-once cases.
 
 use crate::clock::ClockSource;
 use crate::fault::{FaultDecision, FaultInjector, NetOp};
@@ -6,7 +18,7 @@ use crate::fault::{FaultDecision, FaultInjector, NetOp};
 use crate::machine::Segment;
 use crate::machine::{Machine, RpcHandler, UdHandler};
 use crate::metrics::Metrics;
-use crate::pool::WorkerPool;
+use crate::pool::{Posted, WorkerPool};
 use crate::rng::ClusterRng;
 use crate::{FabricConfig, MachineId};
 use bytes::Bytes;
@@ -47,6 +59,9 @@ impl std::fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+/// One one-sided read of a batch: `(segment id, offset, length)`.
+pub type ReadSpec = (u64, usize, usize);
 
 /// [`ClusterRng::fork`] tag base for the per-machine pool-order streams.
 const POOL_ORDER_FORK: u64 = 0x9001_0000;
@@ -193,13 +208,25 @@ impl Fabric {
         Ok(m)
     }
 
-    fn charge(&self, ns: u64) {
+    /// Accounting half of a charge: add modelled time to `sim_ns`.
+    fn account(&self, ns: u64) {
         self.metrics.sim_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Waiting half of a charge: let modelled time elapse when injection is
+    /// on. RealClock spins/sleeps for wall-clock fidelity; VirtualClock
+    /// advances simulated time instantly.
+    fn wait_ns(&self, ns: u64) {
         if self.inject.load(Ordering::Relaxed) {
-            // RealClock spins/sleeps for wall-clock fidelity; VirtualClock
-            // advances simulated time instantly.
             self.clock.sleep(Duration::from_nanos(ns));
         }
+    }
+
+    /// Account for `ns` and wait it out at once: an operation nothing else
+    /// overlaps.
+    fn charge(&self, ns: u64) {
+        self.account(ns);
+        self.wait_ns(ns);
     }
 
     /// Charge simulated time for work the simulation performs in-process but
@@ -249,62 +276,130 @@ impl Fabric {
     /// Doorbell-batched one-sided reads: post every `(seg_id, off, len)` in
     /// `reads` against the same destination with a **single** doorbell ring,
     /// so the batch pays one round-trip base plus per-byte costs (§3.4).
-    ///
-    /// Fault semantics match a single one-sided verb: the injector rules
-    /// once on the whole post (a partition drops the entire batch, and —
-    /// like scalar reads — random message loss never applies to one-sided
-    /// ops, so batching consumes no fault RNG and replay determinism is
-    /// preserved). Per-entry failures (bad segment, out of bounds) are
-    /// returned in-slot so one bad address does not poison its batchmates.
+    /// The one-destination case of [`Fabric::read_scatter`], which documents
+    /// the fault and error semantics.
     pub fn read_many(
         &self,
         from: MachineId,
         to: MachineId,
-        reads: &[(u64, usize, usize)],
+        reads: &[ReadSpec],
     ) -> Result<Vec<Result<Bytes, NetError>>, NetError> {
-        if reads.is_empty() {
-            return Ok(Vec::new());
+        self.read_scatter(from, &[(to, reads)])
+            .pop()
+            .expect("one group in, one result out")
+    }
+
+    /// Doorbell-batched one-sided reads to several machines at once: one
+    /// doorbell per `(destination, reads)` group, posted in slice order, and
+    /// **one** wait for the slowest of them — the posts are in flight
+    /// together, so the caller pays the longest round trip, not their sum.
+    /// Each destination is accounted exactly as a lone
+    /// [`Fabric::read_many`] to it would be.
+    ///
+    /// Fault semantics match a single one-sided verb, per group: the
+    /// injector rules once on each post (a partition drops that whole group
+    /// and — like scalar reads — random message loss never applies to
+    /// one-sided ops, so batching consumes no fault RNG and replay
+    /// determinism is preserved). A dropped or unreachable group fails
+    /// alone; its neighbours still deliver. Per-entry failures (bad segment,
+    /// out of bounds) are returned in-slot so one bad address does not
+    /// poison its batchmates. An empty group posts nothing.
+    pub fn read_scatter<G: AsRef<[ReadSpec]>>(
+        &self,
+        from: MachineId,
+        groups: &[(MachineId, G)],
+    ) -> Vec<Result<Vec<Result<Bytes, NetError>>, NetError>> {
+        let posts: Vec<(MachineId, usize, usize)> = groups
+            .iter()
+            .map(|(to, reads)| {
+                let reads = reads.as_ref();
+                (*to, reads.len(), reads.iter().map(|&(_, _, len)| len).sum())
+            })
+            .collect();
+        self.post_reads(from, &posts)
+            .into_iter()
+            .zip(groups)
+            .map(|(delivered, (to, reads))| {
+                delivered?;
+                let target = self.machine(*to)?;
+                Ok(reads
+                    .as_ref()
+                    .iter()
+                    .map(|&(seg_id, off, len)| {
+                        let seg = target
+                            .segment(seg_id)
+                            .ok_or(NetError::NoSuchSegment(seg_id))?;
+                        seg.read(off, len).ok_or(NetError::OutOfBounds)
+                    })
+                    .collect())
+            })
+            .collect()
+    }
+
+    /// The post under [`Fabric::read_scatter`], public for reads whose bytes
+    /// live outside any registered segment (FaRM's old-version store). Posts
+    /// one doorbell per `(destination, reads, total bytes)` entry — fault
+    /// gate, liveness, counters, `sim_ns` — waits for the slowest, and
+    /// reports per entry whether the post got through; the caller fetches
+    /// the data itself for the entries that did.
+    pub fn post_reads(
+        &self,
+        from: MachineId,
+        posts: &[(MachineId, usize, usize)],
+    ) -> Vec<Result<(), NetError>> {
+        let mut slowest = 0;
+        let posted = posts
+            .iter()
+            .map(|&(to, count, bytes)| {
+                slowest = slowest.max(self.post_read(from, to, count, bytes)?);
+                Ok(())
+            })
+            .collect();
+        self.wait_ns(slowest);
+        posted
+    }
+
+    /// The post half of one doorbell carrying `count` reads of `bytes` in
+    /// total: fault gate, liveness, counters and `sim_ns`. Returns the
+    /// modelled time the post takes, which the caller waits out — once, for
+    /// the slowest of the posts it overlaps.
+    fn post_read(
+        &self,
+        from: MachineId,
+        to: MachineId,
+        count: usize,
+        bytes: usize,
+    ) -> Result<u64, NetError> {
+        if count == 0 {
+            return Ok(0);
         }
-        let total: usize = reads.iter().map(|&(_, _, len)| len).sum();
         let delay = self
-            .fault_gate(NetOp::Read, from, to, total)
+            .fault_gate(NetOp::Read, from, to, bytes)
             .map_err(|e| e.expect("one-sided drops carry an error"))?;
-        let target = self.target(to)?;
+        self.target(to)?;
         let local = from == to;
-        if local {
-            self.metrics
-                .local_reads
-                .fetch_add(reads.len() as u64, Ordering::Relaxed);
+        let reads = if local {
+            &self.metrics.local_reads
         } else {
-            self.metrics
-                .remote_reads
-                .fetch_add(reads.len() as u64, Ordering::Relaxed);
-        }
+            &self.metrics.remote_reads
+        };
+        reads.fetch_add(count as u64, Ordering::Relaxed);
         self.metrics
             .bytes_read
-            .fetch_add(total as u64, Ordering::Relaxed);
+            .fetch_add(bytes as u64, Ordering::Relaxed);
         self.metrics.doorbells.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .reads_batched
-            .fetch_add(reads.len() as u64, Ordering::Relaxed);
-        self.charge(
-            delay
-                + self.cfg.latency.one_sided_batch_ns(
-                    local,
-                    self.rack_of(from) == self.rack_of(to),
-                    reads.len(),
-                    total,
-                ),
-        );
-        Ok(reads
-            .iter()
-            .map(|&(seg_id, off, len)| {
-                let seg = target
-                    .segment(seg_id)
-                    .ok_or(NetError::NoSuchSegment(seg_id))?;
-                seg.read(off, len).ok_or(NetError::OutOfBounds)
-            })
-            .collect())
+            .fetch_add(count as u64, Ordering::Relaxed);
+        let ns = delay
+            + self.cfg.latency.one_sided_batch_ns(
+                local,
+                self.rack_of(from) == self.rack_of(to),
+                count,
+                bytes,
+            );
+        self.account(ns);
+        Ok(ns)
     }
 
     /// One-sided RDMA write.
@@ -386,10 +481,33 @@ impl Fabric {
         }
     }
 
-    /// Synchronous RPC: enqueue on the target's worker pool, block for the
-    /// reply. This is the slow path A1 uses for query shipping; latency is
+    /// Synchronous RPC: [`Fabric::post_rpc`], then [`PendingRpc::wait`] at
+    /// once. This is the slow path A1 uses for query shipping; latency is
     /// charged in both directions.
     pub fn rpc(&self, from: MachineId, to: MachineId, request: Bytes) -> Result<Bytes, NetError> {
+        self.post_rpc(from, to, request)?.wait()
+    }
+
+    /// Post half of an RPC: rule on the request (fault gate, dead target,
+    /// missing handler — all fail here), account for it (`rpcs`, request
+    /// bytes, the request leg's `sim_ns`) and hand the handler to the
+    /// target's worker pool ([`WorkerPool::post`]: inline on this thread
+    /// when that pool is saturated, so cycles of machines whose workers are
+    /// all blocked on each other's RPCs cannot deadlock; always inline under
+    /// a virtual clock, so a simulated post completes before it returns).
+    /// The caller is then free to post more requests or work locally, and
+    /// collects the reply with [`PendingRpc::wait`].
+    ///
+    /// With latency injection on, the modelled wire time elapses on the
+    /// thread that runs the handler — the request leg before the handler,
+    /// the reply leg before the reply is delivered — never on the poster,
+    /// so N posts are N requests on the wire together.
+    pub fn post_rpc(
+        &self,
+        from: MachineId,
+        to: MachineId,
+        request: Bytes,
+    ) -> Result<PendingRpc<'_>, NetError> {
         let delay = self
             .fault_gate(NetOp::Rpc, from, to, request.len())
             .map_err(|e| e.expect("rpc drops carry an error"))?;
@@ -404,30 +522,33 @@ impl Fabric {
             .rpc_req_bytes
             .fetch_add(request.len() as u64, Ordering::Relaxed);
         let same_rack = self.rack_of(from) == self.rack_of(to);
-        self.charge(delay + self.cfg.latency.rpc_ns(same_rack, request.len()));
-        // A pool that shut down mid-call (cluster teardown race) or a
-        // panicking handler both surface as a lost reply, like a machine
-        // dying after accepting the request. The or-inline variant runs the
-        // handler on this (already-blocked) thread when the target pool is
-        // saturated, so cycles of machines whose workers are all blocked on
-        // each other's RPCs cannot deadlock.
-        let reply = target
-            .pool
-            .try_execute_wait_or_inline(move || {
+        let request_ns = delay + self.cfg.latency.rpc_ns(same_rack, request.len());
+        self.account(request_ns);
+        // What the handler's thread needs to sleep the two legs itself.
+        let wire = self
+            .inject
+            .load(Ordering::Relaxed)
+            .then(|| (self.clock.clone(), self.cfg.latency.clone()));
+        let reply = target.pool.post(move || {
+            if let Some((clock, _)) = &wire {
+                clock.sleep(Duration::from_nanos(request_ns));
+            }
+            // A panicking handler surfaces as a lost reply, like a machine
+            // dying after accepting the request.
+            let reply =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(from, request)))
-            })
-            .and_then(Result::ok)
-            .ok_or(NetError::RpcDropped)?;
-        // The reply crosses the wire separately: dropping it here models a
-        // request whose side effects landed but whose ack was lost.
-        let reply_delay = self
-            .fault_gate(NetOp::RpcReply, to, from, reply.len())
-            .map_err(|e| e.expect("rpc-reply drops carry an error"))?;
-        self.metrics
-            .rpc_reply_bytes
-            .fetch_add(reply.len() as u64, Ordering::Relaxed);
-        self.charge(reply_delay + self.cfg.latency.rpc_ns(same_rack, reply.len()));
-        Ok(reply)
+                    .ok()?;
+            if let Some((clock, latency)) = &wire {
+                clock.sleep(Duration::from_nanos(latency.rpc_ns(same_rack, reply.len())));
+            }
+            Some(reply)
+        });
+        Ok(PendingRpc {
+            fabric: self,
+            from,
+            to,
+            reply,
+        })
     }
 
     /// Fire-and-forget unreliable datagram (leases, clock beacons §5.1).
@@ -456,6 +577,46 @@ impl Fabric {
         let same_rack = self.rack_of(from) == self.rack_of(to);
         self.charge(delay + self.cfg.latency.rpc_ns(same_rack, payload.len()) / 2);
         target.pool.execute(move || handler(from, payload));
+    }
+}
+
+/// An RPC whose request is posted and whose reply has not been collected:
+/// made by [`Fabric::post_rpc`], redeemed by [`PendingRpc::wait`]. Dropping
+/// it abandons the reply; the handler still runs.
+pub struct PendingRpc<'f> {
+    fabric: &'f Fabric,
+    from: MachineId,
+    to: MachineId,
+    reply: Posted<Option<Bytes>>,
+}
+
+impl PendingRpc<'_> {
+    /// Wait half of an RPC: block until the handler has run, then rule on
+    /// the reply and account for it (reply bytes, the reply leg's `sim_ns`).
+    /// The reply crosses the wire separately from the request: dropping it
+    /// here models a request whose side effects landed but whose ack was
+    /// lost. A handler that panicked also reads as a lost reply.
+    pub fn wait(self) -> Result<Bytes, NetError> {
+        let PendingRpc {
+            fabric,
+            from,
+            to,
+            reply,
+        } = self;
+        let reply = reply.wait().ok_or(NetError::RpcDropped)?;
+        let reply_delay = fabric
+            .fault_gate(NetOp::RpcReply, to, from, reply.len())
+            .map_err(|e| e.expect("rpc-reply drops carry an error"))?;
+        fabric
+            .metrics
+            .rpc_reply_bytes
+            .fetch_add(reply.len() as u64, Ordering::Relaxed);
+        let same_rack = fabric.rack_of(from) == fabric.rack_of(to);
+        fabric.account(reply_delay + fabric.cfg.latency.rpc_ns(same_rack, reply.len()));
+        // The modelled leg already elapsed before delivery; only what the
+        // injector added on top is left to wait out.
+        fabric.wait_ns(reply_delay);
+        Ok(reply)
     }
 }
 
@@ -617,6 +778,104 @@ mod tests {
     }
 
     #[test]
+    fn read_scatter_accounts_per_destination_and_waits_for_the_slowest() {
+        // Machines 1 and 2 with racks = 3: m1 is cross-rack from m0, and so
+        // is m2; m3 shares m0's rack. Three destinations, three latencies.
+        let boot = || {
+            let clock = VirtualClock::new();
+            let f = Fabric::new(FabricConfig {
+                inject_latency: true,
+                clock: clock.clone(),
+                ..Default::default()
+            });
+            for m in 1..4 {
+                f.machine(MachineId(m))
+                    .unwrap()
+                    .register_segment(1, Segment::new(4096));
+            }
+            (f, clock)
+        };
+        let groups: Vec<(MachineId, Vec<ReadSpec>)> = (1..4u32)
+            .map(|m| {
+                let reads = (0..m as usize * 2).map(|i| (1u64, i * 64, 64)).collect();
+                (MachineId(m), reads)
+            })
+            .collect();
+
+        // One at a time: the reference accounting, and the sum of the waits.
+        let (f, clock) = boot();
+        let mut each_ns = Vec::new();
+        for (to, reads) in &groups {
+            let t0 = clock.now_ns();
+            f.read_many(MachineId(0), *to, reads).unwrap();
+            each_ns.push(clock.now_ns() - t0);
+        }
+        let serial = f.metrics().snapshot();
+        assert_eq!(serial.sim_ns, each_ns.iter().sum::<u64>());
+
+        // Scattered: identical counters, but the clock moved by the slowest.
+        let (f, clock) = boot();
+        let got = f.read_scatter(MachineId(0), &groups);
+        assert_eq!(got.len(), 3);
+        for (res, (_, reads)) in got.iter().zip(&groups) {
+            assert_eq!(res.as_ref().unwrap().len(), reads.len());
+        }
+        assert_eq!(f.metrics().snapshot(), serial, "accounting cannot move");
+        assert_eq!(serial.doorbells, 3);
+        assert_eq!(clock.now_ns(), *each_ns.iter().max().unwrap());
+    }
+
+    #[test]
+    fn read_scatter_fails_one_group_alone_and_post_reads_rules_the_same() {
+        /// Partitions machine 2 away from everyone.
+        struct Isolate2;
+        impl FaultInjector for Isolate2 {
+            fn decide(&self, _: NetOp, _: MachineId, to: MachineId, _: usize) -> FaultDecision {
+                if to == MachineId(2) {
+                    FaultDecision::Drop
+                } else {
+                    FaultDecision::Deliver
+                }
+            }
+        }
+        let f = fabric();
+        for m in 1..4 {
+            f.machine(MachineId(m))
+                .unwrap()
+                .register_segment(1, Segment::new(64));
+        }
+        f.set_fault_injector(Some(Arc::new(Isolate2)));
+        let one = [(1u64, 0usize, 8usize)];
+        let groups = [
+            (MachineId(1), &one[..]),
+            (MachineId(2), &one[..]),
+            (MachineId(3), &one[..]),
+        ];
+        let got = f.read_scatter(MachineId(0), &groups);
+        assert!(got[0].is_ok() && got[2].is_ok());
+        assert_eq!(got[1], Err(NetError::MachineUnreachable(MachineId(2))));
+        let before = f.metrics().snapshot();
+        let ruled = f.post_reads(
+            MachineId(0),
+            &[
+                (MachineId(1), 2, 100),
+                (MachineId(2), 1, 50),
+                (MachineId(3), 0, 0),
+            ],
+        );
+        assert_eq!(
+            ruled,
+            [
+                Ok(()),
+                Err(NetError::MachineUnreachable(MachineId(2))),
+                Ok(())
+            ]
+        );
+        let d = f.metrics().snapshot().delta_since(&before);
+        assert_eq!((d.doorbells, d.remote_reads, d.bytes_read), (1, 2, 100));
+    }
+
+    #[test]
     fn rpc_roundtrip() {
         let f = fabric();
         f.set_rpc_handler(
@@ -650,6 +909,105 @@ mod tests {
             f.rpc(MachineId(0), MachineId(1), Bytes::new()),
             Err(NetError::NoHandler(MachineId(1)))
         );
+    }
+
+    fn echo_on(f: &Fabric, m: MachineId) {
+        f.set_rpc_handler(m, Arc::new(|_from, req: Bytes| req));
+    }
+
+    #[test]
+    fn post_then_wait_accounts_exactly_like_rpc() {
+        let run = |posted: bool| {
+            let f = fabric();
+            echo_on(&f, MachineId(1));
+            echo_on(&f, MachineId(2));
+            let req = |n: usize| Bytes::from(vec![7u8; n]);
+            if posted {
+                let a = f.post_rpc(MachineId(0), MachineId(1), req(100)).unwrap();
+                let b = f.post_rpc(MachineId(0), MachineId(2), req(300)).unwrap();
+                assert_eq!(b.wait().unwrap().len(), 300);
+                assert_eq!(a.wait().unwrap().len(), 100);
+            } else {
+                f.rpc(MachineId(0), MachineId(1), req(100)).unwrap();
+                f.rpc(MachineId(0), MachineId(2), req(300)).unwrap();
+            }
+            f.metrics().snapshot()
+        };
+        let (posted, sync) = (run(true), run(false));
+        assert_eq!(posted, sync);
+        assert_eq!(
+            (sync.rpcs, sync.rpc_req_bytes, sync.rpc_reply_bytes),
+            (2, 400, 400)
+        );
+        assert!(sync.sim_ns > 0);
+    }
+
+    #[test]
+    fn dead_target_and_missing_handler_fail_at_post() {
+        let f = fabric();
+        f.kill(MachineId(3));
+        assert_eq!(
+            f.post_rpc(MachineId(0), MachineId(3), Bytes::new()).err(),
+            Some(NetError::MachineUnreachable(MachineId(3)))
+        );
+        assert_eq!(
+            f.post_rpc(MachineId(0), MachineId(1), Bytes::new()).err(),
+            Some(NetError::NoHandler(MachineId(1)))
+        );
+        assert_eq!(f.metrics().snapshot().rpcs, 0, "nothing was sent");
+    }
+
+    #[test]
+    fn panicking_handler_reads_as_a_dropped_reply() {
+        let f = fabric();
+        f.set_rpc_handler(MachineId(1), Arc::new(|_, _| panic!("handler bug")));
+        let pending = f
+            .post_rpc(MachineId(0), MachineId(1), Bytes::new())
+            .unwrap();
+        assert_eq!(pending.wait(), Err(NetError::RpcDropped));
+        // The worker survived: the machine still answers.
+        echo_on(&f, MachineId(1));
+        assert!(f.rpc(MachineId(0), MachineId(1), Bytes::new()).is_ok());
+    }
+
+    #[test]
+    fn posted_rpcs_share_the_wire_under_injected_latency() {
+        // Sleep-regime legs (5 ms each way) so scheduling noise is small
+        // beside them: five posts must take about one round trip, not five.
+        let mut cfg = FabricConfig {
+            machines: 6,
+            inject_latency: true,
+            ..Default::default()
+        };
+        cfg.latency.rack_rtt_ns = 10_000_000;
+        cfg.latency.cross_rack_rtt_ns = 10_000_000;
+        cfg.latency.rpc_overhead_ns = 0;
+        let f = Fabric::new(cfg);
+        for m in 1..6 {
+            echo_on(&f, MachineId(m));
+        }
+        let t0 = Instant::now();
+        let pending: Vec<PendingRpc<'_>> = (1..6)
+            .map(|m| {
+                f.post_rpc(MachineId(0), MachineId(m), Bytes::new())
+                    .unwrap()
+            })
+            .collect();
+        let posted_in = t0.elapsed();
+        for p in pending {
+            p.wait().unwrap();
+        }
+        let all_in = t0.elapsed();
+        assert!(
+            posted_in < Duration::from_millis(5),
+            "post slept: {posted_in:?}"
+        );
+        assert!(all_in >= Duration::from_millis(10), "a round trip elapsed");
+        assert!(
+            all_in < Duration::from_millis(30),
+            "ships serialised: {all_in:?}"
+        );
+        assert_eq!(f.metrics().snapshot().sim_ns, 5 * 10_000_000);
     }
 
     #[test]
@@ -812,6 +1170,13 @@ mod tests {
             Err(NetError::RpcDropped)
         );
         assert_eq!(hits.load(Ordering::SeqCst), 1, "handler ran before drop");
+        // Posted: the request goes through; the loss surfaces at the wait.
+        let pending = f
+            .post_rpc(MachineId(1), MachineId(2), Bytes::from_static(&[1]))
+            .expect("the request leg is not what drops");
+        assert_eq!(pending.wait(), Err(NetError::RpcDropped));
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert_eq!(f.metrics().snapshot().rpc_reply_bytes, 0);
     }
 
     #[test]

@@ -6,14 +6,19 @@
 //!
 //! * **One-sided verbs** ([`Fabric::read`], [`Fabric::write`],
 //!   [`Fabric::cas64`]) that access a remote machine's registered memory
-//!   segments without involving that machine's "CPU" (worker pool).
+//!   segments without involving that machine's "CPU" (worker pool), and
+//!   doorbell-batched reads ([`Fabric::read_many`] to one machine,
+//!   [`Fabric::read_scatter`] to several at once).
 //! * **A latency model** — local ≈100 ns vs in-rack ≈5 µs vs cross-rack
 //!   ≈17 µs plus a per-byte bandwidth term — so the 20–100× local/remote gap
 //!   that drives A1's data-placement decisions (§2.2) is visible. Latency is
 //!   always *accounted* (simulated nanosecond counters) and can optionally be
 //!   *injected* (spin-waits) so wall-clock measurements are µs-realistic.
 //! * **RPC** with per-machine elastic worker pools and real queueing — the
-//!   transport for A1's query shipping (§3.4).
+//!   transport for A1's query shipping (§3.4). An RPC is *posted*
+//!   ([`Fabric::post_rpc`]) and its reply collected later
+//!   ([`PendingRpc::wait`]), so one thread keeps several in flight the way a
+//!   FaRM fiber does; [`Fabric::rpc`] is the two back to back.
 //! * **Unreliable datagrams** with loss injection — used for leases and clock
 //!   beacons (§5.1).
 //! * **Failure injection** — machines can be killed and revived; operations
@@ -32,12 +37,12 @@ mod pool;
 mod rng;
 
 pub use clock::{ClockSource, RealClock, VirtualClock};
-pub use fabric::{Fabric, NetError};
+pub use fabric::{Fabric, NetError, PendingRpc, ReadSpec};
 pub use fault::{FaultDecision, FaultInjector, NetOp};
 pub use latency::LatencyModel;
 pub use machine::{Machine, Segment};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pool::{JobClass, ScopedJob, WorkerPool};
+pub use pool::{JobClass, Posted, ScopedJob, WorkerPool};
 pub use rng::ClusterRng;
 
 /// Identifies a machine in the fabric.

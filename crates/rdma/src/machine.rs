@@ -151,8 +151,8 @@ impl Machine {
         self.pool.queue_depth()
     }
 
-    /// This machine's worker pool. Coordinators use it to fan work out
-    /// across a hop's target machines concurrently (§3.4).
+    /// This machine's worker pool: where RPCs posted to this machine run,
+    /// and where its work ops split into morsels (§3.4).
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }

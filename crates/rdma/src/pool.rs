@@ -9,8 +9,8 @@
 //!
 //! Jobs carry a [`JobClass`] so the pool can be shared fairly between the
 //! request classes that compete for a machine's "CPU": query-serving work
-//! (coordinator fan-out, RPC dispatch), intra-machine morsels, and ingest
-//! batch application. Two mechanisms combine:
+//! (RPC dispatch: client requests and shipped work ops), intra-machine
+//! morsels, and ingest batch application. Two mechanisms combine:
 //!
 //! * **Priority lane** — when a worker frees up it dequeues `Query` jobs
 //!   before `Morsel` jobs before `Ingest` jobs, so a backlog of ingest
@@ -21,10 +21,19 @@
 //!   class drains, bounding how many worker threads a greedy class (e.g.
 //!   ingest appliers under a bulk load) may occupy at once.
 //!
+//! Work reaches the pool three ways. [`WorkerPool::execute`] is fire and
+//! forget. [`WorkerPool::post`] hands a job over and returns at once; the
+//! poster does something else and collects the result later with
+//! [`Posted::wait`] — how an RPC overlaps its handler with the caller's own
+//! work without parking a second thread. [`WorkerPool::run_all`] is the
+//! scoped batch: jobs that borrow from the caller's stack, joined before it
+//! returns.
+//!
 //! Under a virtual clock the fabric builds its pools in **deterministic
-//! mode** ([`WorkerPool::deterministic`]): scoped batches run on the calling
-//! thread in a seeded order, so the simulation harness exercises the same
-//! batch call sites production does while staying replayable by seed.
+//! mode** ([`WorkerPool::deterministic`]): scoped batches and posted jobs
+//! run on the calling thread, in an order drawn from a seeded stream
+//! ([`WorkerPool::dispatch_order`]), so the simulation harness exercises the
+//! same call sites production does while staying replayable by seed.
 
 use crate::rng::ClusterRng;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -32,7 +41,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -43,11 +52,17 @@ pub type ScopedJob<'env, R> = Box<dyn FnOnce() -> R + Send + 'env>;
 
 const TEMP_THREAD_IDLE: Duration = Duration::from_millis(200);
 
+/// How long a [`Posted::wait`] leaves a job that no worker has claimed yet
+/// to the pool before running it itself. Workers claim within microseconds
+/// when there is one to spare, so this only ends waits nobody would answer.
+const CLAIM_GRACE: Duration = Duration::from_millis(1);
+
 /// Scheduling class of a pool job. Declaration order is dequeue priority:
 /// workers drain `Query` before `Morsel` before `Ingest`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
-    /// Request-serving work: RPC dispatch, coordinator fan-out waves.
+    /// Request-serving work: RPC dispatch (client requests, shipped work
+    /// ops).
     Query,
     /// Intra-machine morsels of a work-op batch.
     Morsel,
@@ -170,13 +185,16 @@ impl WorkerPool {
 
     /// A pool for the simulation harness: [`WorkerPool::run_all_class`]
     /// enqueues nothing and runs its jobs on the calling thread, one at a
-    /// time, in an order drawn from `order` — so a single logical thread
-    /// driving the cluster sees a job interleaving that is a pure function
-    /// of the seed — and [`WorkerPool::is_saturated`] is constantly `false`
-    /// (it would otherwise read racy worker-idle counts). Everything else
-    /// (RPC dispatch, datagram handlers, ingest appliers) still runs on the
-    /// pool's threads; those callers block for their result, so they add no
-    /// interleaving of their own.
+    /// time, in an order drawn from `order`; [`WorkerPool::post`] runs its
+    /// job before it returns, and a caller with several posts to make takes
+    /// their order from the same stream ([`WorkerPool::dispatch_order`]) —
+    /// so a single logical thread driving the cluster sees a job
+    /// interleaving that is a pure function of the seed — and
+    /// [`WorkerPool::is_saturated`] is constantly `false` (it would
+    /// otherwise read racy worker-idle counts). Everything else (datagram
+    /// handlers, ingest appliers) still runs on the pool's threads; those
+    /// callers block for their result, so they add no interleaving of their
+    /// own.
     pub fn deterministic(name: &str, base: usize, max: usize, order: ClusterRng) -> WorkerPool {
         Self::build(name, base, max, Some(order))
     }
@@ -327,28 +345,59 @@ impl WorkerPool {
         }
     }
 
-    /// [`WorkerPool::try_execute_wait`], except that when the pool is
-    /// saturated — no idle worker and no room to grow — the job runs inline
-    /// on the calling thread instead of queueing. The caller was about to
-    /// block on the result anyway, so lending its thread (the fiber model:
-    /// a blocked thread yields) costs nothing and guarantees progress when
-    /// every pool thread in a cycle of machines is blocked on another
-    /// machine's pool.
-    pub fn try_execute_wait_or_inline<R: Send + 'static>(
-        &self,
-        job: impl FnOnce() -> R + Send + 'static,
-    ) -> Option<R> {
-        if self.is_saturated() {
-            return Some(job());
+    /// Hand `job` to the pool (in the [`JobClass::Query`] lane) and return
+    /// without waiting for it; [`Posted::wait`] collects the result. Between
+    /// the two the poster is free to post more jobs or do work of its own,
+    /// which is how one thread overlaps several remote handlers.
+    ///
+    /// The job sits in a *claimable slot*, as [`WorkerPool::run_all_class`]
+    /// jobs do: whoever takes it out runs it. Normally that is a pool
+    /// worker. When the pool is saturated — no idle worker and no room to
+    /// grow — the job runs here, on the poster, before `post` returns: the
+    /// poster was going to wait for it anyway, and lending its thread (the
+    /// fiber model: a blocked thread yields) guarantees progress when every
+    /// pool thread in a cycle of machines is waiting on another machine's
+    /// pool. A job that stays unclaimed for any other reason (the pool
+    /// filled up after the post, a class quota) is covered by the wait
+    /// side. In deterministic mode the job always runs before `post`
+    /// returns.
+    pub fn post<R: Send + 'static>(&self, job: impl FnOnce() -> R + Send + 'static) -> Posted<R> {
+        let slot = Arc::new(PostSlot {
+            state: std::sync::Mutex::new(PostState::Unclaimed(Box::new(job))),
+            done: Condvar::new(),
+        });
+        if self.order.is_some() || self.is_saturated() {
+            slot.run_if_unclaimed();
+        } else {
+            let slot = slot.clone();
+            self.execute(move || slot.run_if_unclaimed());
         }
-        self.try_execute_wait(job)
+        Posted { slot }
+    }
+
+    /// The order in which a caller should start `n` independent pieces of
+    /// work it is about to dispatch itself (posts, or work on its own
+    /// thread): input order, except in deterministic mode, where it is a
+    /// permutation drawn from the pool's seeded stream — the same stream
+    /// scoped batches take their order from — so the simulation explores
+    /// dispatch orders and replays them by seed.
+    pub fn dispatch_order(&self, n: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        if let Some(order) = &self.order {
+            // Fisher–Yates.
+            for i in (1..n).rev() {
+                idx.swap(i, order.gen_range(i as u64 + 1) as usize);
+            }
+        }
+        idx
     }
 
     /// True when no worker is idle and the pool cannot grow. A caller about
-    /// to block on queued work (e.g. a scoped [`WorkerPool::run_all`] batch)
-    /// should degrade to inline execution instead: lending the calling
-    /// thread guarantees progress when every pool thread is itself blocked
-    /// waiting on queued jobs. Never true in deterministic mode.
+    /// to block on queued work (a [`WorkerPool::post`], a scoped
+    /// [`WorkerPool::run_all`] batch) should degrade to inline execution
+    /// instead: lending the calling thread guarantees progress when every
+    /// pool thread is itself blocked waiting on queued jobs. Never true in
+    /// deterministic mode.
     pub fn is_saturated(&self) -> bool {
         self.order.is_none()
             && self.shared.idle.load(Ordering::Relaxed) == 0
@@ -405,8 +454,8 @@ impl WorkerPool {
             }
             _ => {}
         }
-        if let Some(order) = &self.order {
-            return run_in_seeded_order(order, jobs);
+        if self.order.is_some() {
+            return self.run_in_seeded_order(jobs);
         }
         let (tx, rx) = crossbeam::channel::bounded::<(usize, std::thread::Result<R>)>(n);
         let job_slots: Vec<Arc<Mutex<Option<ScopedJob<'env, R>>>>> = jobs
@@ -520,18 +569,102 @@ fn unwrap_in_order<R>(slots: Vec<Option<std::thread::Result<R>>>) -> Vec<R> {
         .collect()
 }
 
-/// Deterministic-mode batch: run every job on this thread in a permutation
-/// drawn from `order` (Fisher–Yates), catching panics so each job runs.
-fn run_in_seeded_order<'env, R>(order: &ClusterRng, jobs: Vec<ScopedJob<'env, R>>) -> Vec<R> {
-    let mut pending: Vec<(usize, ScopedJob<'env, R>)> = jobs.into_iter().enumerate().collect();
-    let mut slots: Vec<Option<std::thread::Result<R>>> = Vec::new();
-    slots.resize_with(pending.len(), || None);
-    while !pending.is_empty() {
-        let pick = order.gen_range(pending.len() as u64) as usize;
-        let (idx, job) = pending.swap_remove(pick);
-        slots[idx] = Some(std::panic::catch_unwind(AssertUnwindSafe(job)));
+impl WorkerPool {
+    /// Deterministic-mode batch: run every job on this thread in
+    /// [`WorkerPool::dispatch_order`], catching panics so each job runs.
+    fn run_in_seeded_order<'env, R>(&self, jobs: Vec<ScopedJob<'env, R>>) -> Vec<R> {
+        let mut jobs: Vec<Option<ScopedJob<'env, R>>> = jobs.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<std::thread::Result<R>>> = Vec::new();
+        slots.resize_with(jobs.len(), || None);
+        for idx in self.dispatch_order(jobs.len()) {
+            let job = jobs[idx]
+                .take()
+                .expect("a permutation visits each job once");
+            slots[idx] = Some(std::panic::catch_unwind(AssertUnwindSafe(job)));
+        }
+        unwrap_in_order(slots)
     }
-    unwrap_in_order(slots)
+}
+
+/// Where a [`WorkerPool::post`]ed job is in its life.
+enum PostState<R> {
+    /// Nobody has started it: whoever takes the job out runs it.
+    Unclaimed(Box<dyn FnOnce() -> R + Send>),
+    Running,
+    Done(std::thread::Result<R>),
+}
+
+struct PostSlot<R> {
+    /// A std mutex because the condvar needs its guard. Never held while the
+    /// job runs, so it cannot be poisoned.
+    state: std::sync::Mutex<PostState<R>>,
+    done: Condvar,
+}
+
+impl<R> PostSlot<R> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PostState<R>> {
+        self.state.lock().expect("no job runs under the slot lock")
+    }
+
+    /// Claim-or-skip: run the job unless someone already has. Called by the
+    /// enqueued wrapper on a worker and by a poster or waiter lending its
+    /// thread; exactly one of them finds the job still there.
+    fn run_if_unclaimed(&self) {
+        let job = {
+            let mut state = self.lock();
+            match std::mem::replace(&mut *state, PostState::Running) {
+                PostState::Unclaimed(job) => job,
+                other => {
+                    *state = other;
+                    return;
+                }
+            }
+        };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(job));
+        *self.lock() = PostState::Done(result);
+        self.done.notify_all();
+    }
+}
+
+/// A job handed over with [`WorkerPool::post`]; [`Posted::wait`] blocks for
+/// its result. Dropping it without waiting abandons the result, not the job.
+pub struct Posted<R> {
+    slot: Arc<PostSlot<R>>,
+}
+
+impl<R> Posted<R> {
+    /// Block until the job has run and return its result; a panic inside
+    /// the job is resumed here. While a worker runs the job this parks on a
+    /// condvar. A job that *no* worker has claimed gets a millisecond's grace, then
+    /// the waiter runs it itself — the progress guarantee of
+    /// [`WorkerPool::post`], extended to whatever kept the pool from
+    /// claiming it after the post (every thread blocked, a class quota).
+    pub fn wait(self) -> R {
+        let poisoned = "no job runs under the slot lock";
+        let mut state = self.slot.lock();
+        let mut grace_given = false;
+        loop {
+            state = match &*state {
+                PostState::Done(_) => break,
+                PostState::Running => self.slot.done.wait(state).expect(poisoned),
+                PostState::Unclaimed(_) if grace_given => {
+                    drop(state);
+                    self.slot.run_if_unclaimed();
+                    self.slot.lock()
+                }
+                PostState::Unclaimed(_) => {
+                    grace_given = true;
+                    let waited = self.slot.done.wait_timeout(state, CLAIM_GRACE);
+                    waited.expect(poisoned).0
+                }
+            };
+        }
+        match std::mem::replace(&mut *state, PostState::Running) {
+            PostState::Done(Ok(r)) => r,
+            PostState::Done(Err(payload)) => std::panic::resume_unwind(payload),
+            _ => unreachable!("loop exits on Done"),
+        }
+    }
 }
 
 impl Drop for WorkerPool {
@@ -671,9 +804,84 @@ mod tests {
         });
         // Give the lone worker a moment to pick the blocking job up.
         std::thread::sleep(Duration::from_millis(20));
-        let got = pool.try_execute_wait_or_inline(|| 7).unwrap();
-        assert_eq!(got, 7);
+        assert!(pool.is_saturated());
+        let ran_on = pool.post(|| std::thread::current().id());
         release_tx.send(()).unwrap();
+        assert_eq!(ran_on.wait(), std::thread::current().id());
+    }
+
+    #[test]
+    fn posted_jobs_run_on_workers_and_overlap() {
+        // Three posts that rendezvous with each other and with the poster:
+        // completion requires all of them in flight while the poster is
+        // still free to do something else (here, join the barrier).
+        let pool = WorkerPool::new("t", 1, 16);
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let posted: Vec<Posted<std::thread::ThreadId>> = (0..3)
+            .map(|_| {
+                let b = barrier.clone();
+                pool.post(move || {
+                    b.wait();
+                    std::thread::current().id()
+                })
+            })
+            .collect();
+        barrier.wait();
+        for p in posted {
+            assert_ne!(p.wait(), std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn waiter_runs_a_posted_job_no_worker_claims() {
+        // Query quota 1 with the slot held by a blocked job: the post lands
+        // in the class backlog, the pool is not saturated, and no worker
+        // will ever claim it. The waiter must.
+        let pool = WorkerPool::new("t", 2, 8);
+        pool.set_class_quota(JobClass::Query, 1);
+        let (release_tx, release_rx) = crossbeam::channel::bounded::<()>(0);
+        pool.execute(move || {
+            release_rx.recv().unwrap();
+        });
+        let ran_on = pool.post(|| std::thread::current().id());
+        assert_eq!(pool.class_backlog(JobClass::Query), 1);
+        assert_eq!(ran_on.wait(), std::thread::current().id());
+        release_tx.send(()).unwrap();
+    }
+
+    #[test]
+    fn posted_panic_resumes_on_the_waiter_and_keeps_the_worker() {
+        let pool = WorkerPool::new("t", 1, 4);
+        let posted = pool.post(|| -> u32 { panic!("boom") });
+        assert!(std::panic::catch_unwind(AssertUnwindSafe(|| posted.wait())).is_err());
+        assert_eq!(pool.post(|| 1 + 1).wait(), 2);
+    }
+
+    #[test]
+    fn deterministic_post_completes_before_it_returns() {
+        let pool = WorkerPool::deterministic("t", 1, 4, ClusterRng::new(3));
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = ran.clone();
+        let posted = pool.post(move || r.fetch_add(1, Ordering::SeqCst));
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "ran inside post");
+        assert_eq!(posted.wait(), 0);
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn dispatch_order_is_identity_unless_seeded() {
+        assert_eq!(
+            WorkerPool::new("t", 1, 1).dispatch_order(5),
+            [0, 1, 2, 3, 4]
+        );
+        let order =
+            |seed| WorkerPool::deterministic("t", 1, 1, ClusterRng::new(seed)).dispatch_order(16);
+        let mut sorted = order(7);
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "a permutation");
+        assert_eq!(order(7), order(7), "same seed, same order");
+        assert_ne!(order(7), order(8));
+        assert!(order(7).windows(2).any(|w| w[0] > w[1]), "not the identity");
     }
 
     #[test]
@@ -708,7 +916,13 @@ mod tests {
             done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
         assert_eq!(peak.load(Ordering::SeqCst), 1, "quota exceeded");
-        assert_eq!(pool.class_in_flight(JobClass::Ingest), 0);
+        // The last job signalled `done` from inside its body; its quota slot
+        // is released just after it returns.
+        let t0 = std::time::Instant::now();
+        while pool.class_in_flight(JobClass::Ingest) != 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "slot never freed");
+            std::thread::yield_now();
+        }
     }
 
     #[test]

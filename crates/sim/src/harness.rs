@@ -11,10 +11,11 @@
 //!   verb; its decisions are a pure function of scenario state + seed.
 //! * Execution — the cluster boots the production [`ExecConfig`] default;
 //!   the virtual clock puts every machine's worker pool in deterministic
-//!   mode ([`a1_rdma::WorkerPool::deterministic`]), so fan-out waves and
-//!   morsel batches run on the scenario's single logical thread in an
-//!   order drawn from the run seed, and the event order is a function of
-//!   the inputs alone.
+//!   mode ([`a1_rdma::WorkerPool::deterministic`]), so a hop's posted ships
+//!   and local op, and a work op's morsels, run on the scenario's single
+//!   logical thread in an order drawn from the run seed (a post completes
+//!   before it returns), and the event order is a function of the inputs
+//!   alone.
 //!
 //! [`ExecConfig`]: a1_core::query::ExecConfig
 

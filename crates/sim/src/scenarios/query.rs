@@ -13,6 +13,10 @@ use crate::SimEnv;
 
 const MACHINES: u32 = 4;
 const SPOKES: usize = 20;
+/// Extra spokes the fan-out scenario pins to one machine: enough that its
+/// share of the hop splits into two morsels, so the scenario's oracles judge
+/// the morsel merge too (`tests/mutation.rs` seeds a bug there).
+const PINNED_SPOKES: usize = 2 * a1_core::query::exec::MIN_MORSEL;
 
 /// Query with bounded retries: transient unavailability (healing partitions,
 /// post-failover `SnapshotTooOld`) is retried; persistent failure surfaces.
@@ -67,11 +71,13 @@ impl Scenario for CoordinatorDeathMidFanout {
     fn run(&self, seed: u64) -> ScenarioOutcome {
         let (env, _spokes) = hub_env(seed, 1);
         let client = env.client();
+        workload::add_pinned_spokes(&client, "hub", MachineId(0), PINNED_SPOKES);
         let q = workload::hub_count_query("hub");
 
         // Pre-fault reference answer from this same graph.
         let reference = query_count_with_retries(&env, &client, &q, 0).expect("pre-fault query");
-        let ref_ok = OracleReport::check_eq("pre-fault-count", &Some(SPOKES as u64), &reference);
+        let spokes = (SPOKES + PINNED_SPOKES) as u64;
+        let ref_ok = OracleReport::check_eq("pre-fault-count", &Some(spokes), &reference);
 
         // Phase 1: lose every reply from a victim. The query must fail
         // cleanly or return the right answer — never a wrong one.

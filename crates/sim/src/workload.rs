@@ -3,8 +3,8 @@
 //! fault-free reference), so every rendering here is sorted and free of
 //! physical details like addresses or machine ids.
 
-use a1_core::{A1Client, Json};
-use a1_rdma::ClusterRng;
+use a1_core::{A1Client, Json, Mutation};
+use a1_rdma::{ClusterRng, MachineId};
 
 pub const TENANT: &str = "sim";
 pub const GRAPH: &str = "g";
@@ -64,6 +64,37 @@ pub fn build_hub(client: &A1Client, hub: &str, spokes: &[(String, i64)]) {
                 None,
             )
             .expect("edge");
+    }
+}
+
+/// `count` more spokes `p0..p{count}` (rank 0) for an existing `hub`, all
+/// placed on machine `home` — vertices allocate where their batch is
+/// applied — so that one owner's share of the hub's fan-out is as big as
+/// the caller needs (past the morsel split size, say).
+pub fn add_pinned_spokes(client: &A1Client, hub: &str, home: MachineId, count: usize) {
+    let ids: Vec<String> = (0..count).map(|i| format!("p{i}")).collect();
+    // Modest batches: each is one transaction rewriting the hub's edge list.
+    for chunk in ids.chunks(16) {
+        let vertices = chunk.iter().map(|id| Mutation::UpsertVertex {
+            tenant: TENANT.into(),
+            graph: GRAPH.into(),
+            ty: NODE_TYPE.into(),
+            attrs: Json::obj(vec![("id", Json::str(id)), ("rank", Json::Num(0.0))]),
+        });
+        let edges = chunk.iter().map(|id| Mutation::UpsertEdge {
+            tenant: TENANT.into(),
+            graph: GRAPH.into(),
+            src_type: NODE_TYPE.into(),
+            src_id: Json::str(hub),
+            edge_type: EDGE_TYPE.into(),
+            dst_type: NODE_TYPE.into(),
+            dst_id: Json::str(id),
+            data: None,
+        });
+        let batch: Vec<Mutation> = vertices.chain(edges).collect();
+        client
+            .apply_batch_at(home, &batch)
+            .expect("pinned spokes batch");
     }
 }
 

@@ -1,8 +1,9 @@
 //! Concurrent distributed coordination: many simultaneous multi-hop queries
 //! from multiple client threads, with every result checked against the
 //! workload generator's reference answers — including while a machine is
-//! killed mid-stream — plus proof that a hop's ships, and a work op's
-//! morsels, genuinely overlap.
+//! killed mid-stream — plus proof that a hop's network waits (its ships,
+//! its one-sided posts to several owners) and a work op's morsels genuinely
+//! overlap, without parking a coordinator-pool worker per ship.
 
 use a1::core::{A1Config, Json, MachineId, QueryOutcome};
 use a1_bench::workload::{KgAnswers, KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
@@ -53,9 +54,7 @@ fn shipped_hops_overlap_and_match_reference() {
     cfg.farm.fabric.latency.rpc_overhead_ns = 500_000;
     let kg = KnowledgeGraph::load(cfg, KnowledgeGraphSpec::tiny());
     assert_eq!(all_answers(&kg), kg.answers);
-    // The fan-out hops actually overlapped their ships: with wall-clock
-    // latency injection on, concurrent ships are sleeping on the wire at
-    // the same time.
+    // The fan-out hops had several ships posted before collecting any.
     kg.cluster.farm().fabric().set_inject_latency(true);
     let out = kg
         .cluster
@@ -73,6 +72,117 @@ fn shipped_hops_overlap_and_match_reference() {
     assert!(peak > 1, "expected overlapping ships, peak was {peak}");
     // And per-hop wall time was recorded.
     assert!(out.per_hop.iter().all(|h| h.wall_ns > 0));
+}
+
+/// The sub-threshold regime: nothing ships, so the coordinator itself reads
+/// every owner's vertices with one-sided posts. Those posts must be in
+/// flight together — a hop costs its rounds (headers, edge lists) times the
+/// slowest destination, not times the number of destinations. (The parent
+/// of this test bought the same overlap with a pool thread per owner.)
+#[test]
+fn sub_threshold_hop_overlaps_its_posts_across_owners() {
+    const RTT_NS: u64 = 2_000_000;
+    let mut cfg = A1Config::small(6);
+    cfg.exec.ship_threshold = usize::MAX;
+    // Every remote destination costs the same, deep in the sleep regime so
+    // CPU time is small beside one round trip.
+    cfg.farm.fabric.latency.rack_rtt_ns = RTT_NS;
+    cfg.farm.fabric.latency.cross_rack_rtt_ns = RTT_NS;
+    let kg = KnowledgeGraph::load(cfg, KnowledgeGraphSpec::tiny());
+    kg.cluster.farm().fabric().set_inject_latency(true);
+    let out = kg
+        .cluster
+        .inner()
+        .coordinate_query(MachineId(0), TENANT, GRAPH, &kg.q4())
+        .unwrap();
+    kg.cluster.farm().fabric().set_inject_latency(false);
+    assert_eq!(out.count, Some(kg.answers.q4));
+    assert_eq!(out.metrics.rpcs, 0, "nothing ships in this regime");
+    let hop = out
+        .per_hop
+        .iter()
+        .filter(|h| h.frontier > 1)
+        .max_by_key(|h| h.machines)
+        .expect("a fan-out hop");
+    assert!(hop.machines >= 5, "frontier spread over {}", hop.machines);
+    // At least four of those owners are remote. One after another, two
+    // rounds each, they would take 16 ms; together, a traversing hop is at
+    // most three rounds.
+    assert!(hop.wall_ns >= RTT_NS, "the wait was real: {}", hop.wall_ns);
+    assert!(
+        hop.wall_ns < 3 * RTT_NS + RTT_NS / 2,
+        "hop over {} owners took {} ns: destinations serialised",
+        hop.machines,
+        hop.wall_ns
+    );
+}
+
+/// Ships are posted from the coordinator's own thread: no worker of the
+/// coordinator machine's pool runs (or parks in) a ship, so a stream of
+/// shipping queries leaves that pool at its base size.
+#[test]
+fn shipping_queries_do_not_grow_the_coordinator_pool() {
+    // Every remote batch ships, however small (the graph is tiny).
+    let mut cfg = A1Config::small(6);
+    cfg.exec.ship_threshold = 1;
+    let kg = KnowledgeGraph::load(cfg, KnowledgeGraphSpec::tiny());
+    let fabric = kg.cluster.farm().fabric();
+    let pool = fabric.machine(MachineId(0)).unwrap().pool();
+    let base = fabric.config().threads_per_machine;
+    // Temporary workers the load phase spawned retire after 200 ms idle.
+    let settle = std::time::Instant::now();
+    while pool.thread_count() > base {
+        assert!(settle.elapsed().as_secs() < 10, "pool never settled");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let mut ships = 0;
+    for _ in 0..50 {
+        let out = kg
+            .cluster
+            .inner()
+            .coordinate_query(MachineId(0), TENANT, GRAPH, &kg.q4())
+            .unwrap();
+        assert_eq!(out.count, Some(kg.answers.q4));
+        assert!(out.per_hop.iter().all(|h| h.morsels <= h.machines));
+        ships += out.metrics.rpcs;
+    }
+    assert!(ships >= 50, "the queries shipped ({ships} ships)");
+    assert_eq!(pool.thread_count(), base, "a ship parked a worker");
+}
+
+/// Rows merge in `MachineId` order whether a part shipped or stayed in the
+/// coordinator's one local op: the same query on the same (seeded) graph
+/// returns its rows in the same order with everything shipped, nothing
+/// shipped, and a mix of both.
+#[test]
+fn row_order_does_not_depend_on_what_ships() {
+    let rows_at = |ship_threshold: usize| {
+        let mut cfg = A1Config::small(5);
+        cfg.exec.ship_threshold = ship_threshold;
+        let kg = KnowledgeGraph::load(cfg, KnowledgeGraphSpec::tiny());
+        // Q1's actors as rows instead of a count: twenty vertices spread
+        // unevenly over all five machines.
+        let q = kg
+            .q1()
+            .replace(r#""_select" : ["_count(*)"]"#, r#""_select" : ["name[0]"]"#);
+        let out = kg
+            .cluster
+            .inner()
+            .coordinate_query(MachineId(0), TENANT, GRAPH, &q)
+            .unwrap();
+        assert_eq!(out.rows.len() as u64, kg.answers.q1);
+        let last = out.per_hop.last().unwrap();
+        let rows: Vec<String> = out.rows.iter().map(Json::to_string).collect();
+        (rows, last.rpcs, last.machines)
+    };
+    let (all_local, rpcs, machines) = rows_at(usize::MAX);
+    assert_eq!((rpcs, machines), (0, 5));
+    let (all_shipped, rpcs, _) = rows_at(1);
+    assert_eq!(rpcs, 4, "every remote owner shipped");
+    let (mixed, rpcs, _) = rows_at(A1Config::small(5).exec.ship_threshold);
+    assert!((1..4).contains(&rpcs), "some parts ship, some stay: {rpcs}");
+    assert_eq!(all_shipped, all_local);
+    assert_eq!(mixed, all_local);
 }
 
 #[test]
@@ -188,7 +298,9 @@ fn match_count(g: &HubSkewGraph) -> u64 {
 
 #[test]
 fn morsels_overlap_on_hub_skewed_frontier() {
-    let srcs = 24;
+    // Past the split size: machine 0's ~90 % of the frontier is worth at
+    // least two morsels of `MIN_MORSEL` vertices each.
+    let srcs = 3 * exec::MIN_MORSEL;
     let g = skewed_cluster(srcs);
     assert_eq!(g.expected_match, srcs as u64, "every src's target matches");
     assert_eq!(match_count(&g), g.expected_match);
@@ -274,6 +386,77 @@ fn error_in_morsel_propagates_without_deadlock() {
     // The pool joined every morsel before surfacing the error: the machine
     // still executes queries (no wedged workers, no deadlock).
     assert_eq!(match_count(&g), g.expected_match);
+}
+
+/// A hand-built op may name a vertex twice. Round one gives each distinct
+/// address one slot (the repeat is served by the scalar fallback), and the
+/// op answers as if each occurrence had been read on its own.
+#[test]
+fn duplicate_addresses_share_a_prefetch_slot_and_keep_their_answers() {
+    let g = skewed_cluster(16);
+    let inner = g.cluster.inner();
+    let machine = MachineId(1);
+    let proxies = inner.proxies_at(machine, TENANT, HUB_SKEW_GRAPH).unwrap();
+    let query = a1::core::query::parse_query(&HubSkewGraph::match_query()).unwrap();
+    let mut tx = inner.farm.begin_read_only(machine);
+    let snapshot_ts = tx.read_ts();
+    let (compiled, root) = exec::compile(&inner.store, &mut tx, &proxies, &query).unwrap();
+    let exists = CompiledStep {
+        type_filter: None,
+        id_filter: None,
+        preds: vec![],
+        matches: vec![],
+        traverse: None,
+    };
+    let run = |vertices: Vec<Addr>, step: &CompiledStep| {
+        let op = WorkOp {
+            tenant: TENANT.into(),
+            graph: HUB_SKEW_GRAPH.into(),
+            snapshot_ts,
+            vertices,
+            step: step.clone(),
+            emit_rows: false,
+            select: Select::Count,
+            cache_bypass: true,
+        };
+        let before = inner.farm.fabric().metrics().snapshot();
+        let result = exec::run_work_op(
+            &inner.farm,
+            &inner.store,
+            &proxies,
+            machine,
+            &op,
+            None,
+            None,
+        )
+        .unwrap();
+        let posted = inner
+            .farm
+            .fabric()
+            .metrics()
+            .snapshot()
+            .delta_since(&before);
+        (result, posted)
+    };
+    // The query's first hop, for sixteen real addresses.
+    let srcs = run(root, &compiled.steps[0]).0.next;
+    assert_eq!(srcs.len(), 16);
+    let (once, once_posted) = run(srcs.clone(), &exists);
+    assert_eq!(once.next, srcs);
+    assert_eq!(once_posted.reads_batched, 16);
+
+    let doubled: Vec<Addr> = srcs.iter().flat_map(|&a| [a, a]).collect();
+    let (twice, twice_posted) = run(doubled.clone(), &exists);
+    assert_eq!(twice.next, doubled, "each occurrence answers for itself");
+    assert_eq!(
+        twice_posted.reads_batched, 16,
+        "one slot per distinct address"
+    );
+    assert_eq!(
+        twice.metrics.fetch_verbs,
+        once.metrics.fetch_verbs + 16,
+        "each repeat is one scalar read"
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Batched one-sided fetch path: the doorbell-coalesced prefetch must
 //! return the generator's reference answers — warm, uncached, and under
-//! churn — while posting a bounded number of one-sided verbs per morsel.
+//! churn — while posting a bounded number of one-sided verbs per morsel:
+//! at most three rounds cold (headers, records, edge lists), two warm.
 
 use a1::core::query::exec::HopStats;
 use a1::core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation, QueryOutcome};
@@ -159,6 +160,45 @@ fn uncached_fetch_posts_two_rounds_per_morsel() {
         );
         assert!(hop.fetch_verbs < HUBS as u64, "one verb per hub or worse");
     }
+}
+
+/// A hop that filters on attributes *and* traverses needs all three rounds
+/// cold — headers, records, inline edge lists — and two warm, where one
+/// probe round stands in for the first two. A scalar loop would post three
+/// verbs per hub.
+#[test]
+fn traversing_hop_posts_three_rounds_cold_and_two_warm() {
+    // root ─fan→ hubs (rank 1) ─fan, backwards→ root: the hub hop is the
+    // middle one, and it enumerates every hub's in-list.
+    let q = r#"{ "id": "root",
+        "_out_edge": { "_type": "fan",
+        "_vertex": { "rank": 1,
+        "_in_edge": { "_type": "fan",
+        "_vertex": { "_select": ["_count(*)"] } } } } }"#;
+    let cluster = build_graph(fetch_cfg(true), &small_spec());
+    let hub_hop_verbs = || {
+        let out = cluster
+            .inner()
+            .coordinate_query(MachineId(1), TENANT, GRAPH, q)
+            .expect("query");
+        assert_eq!(out.count, Some(1), "every hub leads back to the root");
+        let hop = out.per_hop[1];
+        assert_eq!((hop.frontier, hop.machines), (HUBS as u64, 1));
+        assert_eq!(hop.edges_visited, HUBS as u64);
+        (hop.fetch_verbs, hop.morsels * hop.machines, hop.cache_hits)
+    };
+    let (cold, slots, hits) = hub_hop_verbs();
+    assert_eq!(hits, 0, "first touch");
+    assert!(
+        (3..=3 * slots).contains(&cold),
+        "cold: {cold} posts for {slots} morsel x machine"
+    );
+    let (warm, slots, hits) = hub_hop_verbs();
+    assert_eq!(hits, HUBS as u64);
+    assert!(
+        (2..=2 * slots).contains(&warm),
+        "warm: {warm} posts for {slots} morsel x machine"
+    );
 }
 
 /// The ship-vs-fetch decision must never change an answer: the default
