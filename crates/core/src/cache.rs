@@ -56,7 +56,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Master switch. Disabled, the read path never consults or fills the
-    /// cache — the A/B baseline for the cache-effectiveness suite.
+    /// cache.
     pub enabled: bool,
     /// Capacity budget per machine, in (approximate) payload bytes. Entries
     /// are CLOCK-evicted once a machine's cache exceeds its budget.

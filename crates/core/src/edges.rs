@@ -7,10 +7,10 @@
 //! edges (the paper's motivating example for not using a TAO-style cache).
 //!
 //! Small lists live in one variable-length FaRM object that grows
-//! geometrically (4 → 8 → … entries). Past `inline_threshold` (≈1000 in the
-//! paper; 99.9% of vertices stay below it) the list migrates into the
-//! per-graph **global edge B-tree** keyed ⟨owner, direction, edge type,
-//! other⟩. Inline lists are co-located with their vertex header via
+//! geometrically (4 → 8 → … entries). Past [`DEFAULT_INLINE_THRESHOLD`]
+//! (≈1000 in the paper; 99.9% of vertices stay below it) the list migrates
+//! into the per-graph **global edge B-tree** keyed ⟨owner, direction, edge
+//! type, other⟩. Inline lists are co-located with their vertex header via
 //! allocation hints, so enumerating a local vertex's edges is a local read.
 
 use crate::error::{A1Error, A1Result};
@@ -57,7 +57,7 @@ pub const HALF_EDGE_SIZE: usize = 24;
 /// Initial inline capacity; doubles on growth (§3.2 "geometric progression").
 pub const INITIAL_INLINE_CAP: usize = 4;
 
-/// Default spill threshold (§3.2: "around 1000 edges").
+/// Spill threshold (§3.2: "around 1000 edges").
 pub const DEFAULT_INLINE_THRESHOLD: usize = 1024;
 
 impl HalfEdge {
@@ -159,28 +159,12 @@ fn parse_tree_entry(key: &[u8], value: &[u8]) -> A1Result<HalfEdge> {
     })
 }
 
-/// Edge-list tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct EdgeConfig {
-    pub inline_threshold: usize,
-}
-
-impl Default for EdgeConfig {
-    fn default() -> Self {
-        EdgeConfig {
-            inline_threshold: DEFAULT_INLINE_THRESHOLD,
-        }
-    }
-}
-
 /// Insert a half-edge into `owner`'s list for `dir`, updating the header
 /// in memory (caller persists the header once per transaction). Fails with
 /// `EdgeExists` on duplicates.
-#[allow(clippy::too_many_arguments)]
 pub fn insert_half_edge(
     tx: &mut Txn,
     edge_tree: &BTree,
-    cfg: &EdgeConfig,
     owner_addr: Addr,
     hdr: &mut VertexHeader,
     dir: Dir,
@@ -211,7 +195,7 @@ pub fn insert_half_edge(
             entries.push(edge);
             if entries.len() <= cap {
                 tx.update(&buf, encode_list(&entries, cap))?;
-            } else if cap * 2 <= cfg.inline_threshold {
+            } else if cap * 2 <= DEFAULT_INLINE_THRESHOLD {
                 // Geometric growth: realloc at double capacity, keep locality.
                 let new_cap = cap * 2;
                 let new_ptr = tx.alloc(
@@ -388,7 +372,6 @@ pub fn find_half_edge(
 pub fn add_edge(
     tx: &mut Txn,
     edge_tree: &BTree,
-    cfg: &EdgeConfig,
     src: Addr,
     ty: TypeId,
     dst: Addr,
@@ -400,7 +383,6 @@ pub fn add_edge(
         insert_half_edge(
             tx,
             edge_tree,
-            cfg,
             src,
             &mut src_hdr,
             Dir::Out,
@@ -413,7 +395,6 @@ pub fn add_edge(
         insert_half_edge(
             tx,
             edge_tree,
-            cfg,
             src,
             &mut src_hdr,
             Dir::In,
@@ -431,7 +412,6 @@ pub fn add_edge(
     insert_half_edge(
         tx,
         edge_tree,
-        cfg,
         src,
         &mut src_hdr,
         Dir::Out,
@@ -444,7 +424,6 @@ pub fn add_edge(
     insert_half_edge(
         tx,
         edge_tree,
-        cfg,
         dst,
         &mut dst_hdr,
         Dir::In,

@@ -8,7 +8,7 @@
 //! Layering (paper Fig. 1):
 //!
 //! ```text
-//!   Graph applications            examples/, benches
+//!   Graph applications            examples/, benchmark/
 //!   A1 graph API                  server::A1Client
 //!   Graph query execution         query::{plan, exec}
 //!   Graph store and index         store, vertex, edges, catalog

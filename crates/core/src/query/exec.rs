@@ -128,9 +128,8 @@ impl QueryMetrics {
     }
 }
 
-/// Per-hop statistics (coordination phases, Fig. 9) — consumed by the
-/// trace-driven throughput simulator in `a1-bench`. Not serialized over the
-/// client wire; available when calling the coordinator directly.
+/// Per-hop statistics (coordination phases, Fig. 9). Not serialized over
+/// the client wire; available when calling the coordinator directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HopStats {
     /// Frontier size entering this hop.

@@ -38,8 +38,6 @@ pub struct A1Config {
     pub exec: ExecConfig,
     /// Catalog proxy cache TTL (§3.1).
     pub proxy_ttl: Duration,
-    /// Inline edge-list spill threshold (§3.2, ~1000).
-    pub inline_edge_threshold: usize,
     /// How long coordinators keep paged query results (§3.4, 60 s).
     pub continuation_ttl: Duration,
     /// Write a replication log for disaster recovery (§4).
@@ -62,7 +60,7 @@ pub struct A1Config {
 /// ingest batch application).
 ///
 /// The default is wide open — no admission limits — matching the pre-front-
-/// door behavior. Serving deployments (and the load-test bench) set limits.
+/// door behavior. Serving deployments set limits.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// Max queries/pages in flight per backend machine; `0` = unlimited.
@@ -112,7 +110,6 @@ impl Default for A1Config {
             farm: FarmConfig::default(),
             exec: ExecConfig::default(),
             proxy_ttl: Duration::from_secs(10),
-            inline_edge_threshold: 1024,
             continuation_ttl: Duration::from_secs(60),
             dr_enabled: false,
             wire_format: WireFormat::Binary,
@@ -260,7 +257,7 @@ impl A1Cluster {
         let backends: Vec<Arc<Backend>> = (0..cfg.farm.fabric.machines)
             .map(|i| Backend::new(MachineId(i), cfg.proxy_ttl, &cfg.cache))
             .collect();
-        let store = GraphStore::with_inline_threshold(cfg.inline_edge_threshold);
+        let store = GraphStore;
         let inner = Arc::new(A1Inner {
             cfg,
             farm,
@@ -1490,8 +1487,6 @@ impl A1Txn {
             .ok_or_else(|| A1Error::NoSuchType(ty.to_string()))?
             .clone();
         let pk = pk_value(&vp, id)?;
-        let store = inner.store.edge_cfg;
-        let _ = store;
         let tx = self.tx();
         match inner.store.vertex_by_pk(tx, &vp, &pk)? {
             Some(ptr) => Ok(Some(inner.store.vertex_to_json(tx, &vp, ptr.addr)?)),

@@ -9,7 +9,7 @@
 
 use crate::catalog::{GraphProxy, VertexProxy};
 use crate::convert::record_to_json;
-use crate::edges::{self, Dir, EdgeConfig};
+use crate::edges::{self, Dir};
 use crate::error::{A1Error, A1Result};
 use crate::model::TypeId;
 use crate::vertex::{vertex_ptr, VertexHeader, VERTEX_HEADER_SIZE};
@@ -78,19 +78,9 @@ pub fn primary_key_bytes(value: &Value) -> A1Result<Vec<u8>> {
 
 /// Stateless data-plane operations (all take a transaction).
 #[derive(Default)]
-pub struct GraphStore {
-    pub edge_cfg: EdgeConfig,
-}
+pub struct GraphStore;
 
 impl GraphStore {
-    pub fn with_inline_threshold(threshold: usize) -> GraphStore {
-        GraphStore {
-            edge_cfg: EdgeConfig {
-                inline_threshold: threshold,
-            },
-        }
-    }
-
     /// Create a vertex: data object + header object (co-located), primary
     /// and secondary index insertions. Returns the vertex pointer.
     pub fn create_vertex(&self, tx: &mut Txn, t: &VertexProxy, rec: Record) -> A1Result<Ptr> {
@@ -359,15 +349,7 @@ impl GraphStore {
             }
             _ => Ptr::NULL,
         };
-        edges::add_edge(
-            tx,
-            &g.edge_tree,
-            &self.edge_cfg,
-            src,
-            edge_type,
-            dst,
-            data_ptr,
-        )
+        edges::add_edge(tx, &g.edge_tree, src, edge_type, dst, data_ptr)
     }
 
     /// Delete one edge; frees its data object.

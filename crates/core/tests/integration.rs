@@ -795,3 +795,113 @@ fn limit_terminates_early() {
     // Both modes agree on the first row (deterministic merge order).
     assert_eq!(limited.rows[0], full.rows[0]);
 }
+
+/// §3.2: past the inline threshold (1,024 entries) a vertex's edge list
+/// moves into the graph's global edge B-tree. Every edge operation has a
+/// separate arm for that representation; this drives each one on a hub
+/// whose out-list has spilled.
+#[test]
+fn edge_list_spills_to_the_global_btree_and_keeps_every_operation() {
+    const DEGREE: usize = 1_100;
+    let cluster = A1Cluster::start(A1Config::small(3)).unwrap();
+    let client = cluster.client();
+    client.create_tenant(TENANT).unwrap();
+    client.create_graph(TENANT, GRAPH).unwrap();
+    client
+        .create_vertex_type(TENANT, GRAPH, ENTITY_SCHEMA, "id", &[])
+        .unwrap();
+    client
+        .create_edge_type(TENANT, GRAPH, &edge_schema("has"))
+        .unwrap();
+    client
+        .create_vertex(TENANT, GRAPH, "entity", r#"{"id": "hub"}"#)
+        .unwrap();
+    let leaf = |i: usize| Json::str(&format!("leaf{i:04}"));
+    let link = |i: usize| {
+        client.create_edge(
+            TENANT,
+            GRAPH,
+            "entity",
+            &Json::str("hub"),
+            "has",
+            "entity",
+            &leaf(i),
+            None,
+        )
+    };
+    for i in 0..DEGREE {
+        client
+            .create_vertex(
+                TENANT,
+                GRAPH,
+                "entity",
+                &format!(r#"{{"id": "leaf{i:04}"}}"#),
+            )
+            .unwrap();
+        link(i).unwrap();
+    }
+    let out_degree = || {
+        client
+            .query(
+                TENANT,
+                GRAPH,
+                r#"{ "id": "hub", "_out_edge": { "_type": "has",
+                     "_vertex": { "_select": ["_count(*)"] }}}"#,
+            )
+            .unwrap()
+            .count
+    };
+    let hubs_of = |i: usize| {
+        client
+            .query(
+                TENANT,
+                GRAPH,
+                &format!(
+                    r#"{{ "id": "leaf{i:04}", "_in_edge": {{ "_type": "has",
+                         "_vertex": {{ "_select": ["_count(*)"] }}}}}}"#
+                ),
+            )
+            .unwrap()
+            .count
+    };
+
+    // Enumeration scans the tree; a leaf linked after the spill (the list
+    // moved at the 1,025th insert) still finds its way back.
+    assert_eq!(out_degree(), Some(DEGREE as u64));
+    assert_eq!(hubs_of(DEGREE - 1), Some(1));
+    assert_eq!(hubs_of(0), Some(1));
+
+    // Duplicate detection is a tree lookup now.
+    assert!(matches!(
+        link(DEGREE - 1),
+        Err(a1_core::A1Error::EdgeExists(_))
+    ));
+    assert_eq!(out_degree(), Some(DEGREE as u64));
+
+    // Removing one edge, then a leaf (which removes its mirrored half-edge
+    // from the hub's tree-backed list).
+    assert!(client
+        .delete_edge(
+            TENANT,
+            GRAPH,
+            "entity",
+            &Json::str("hub"),
+            "has",
+            "entity",
+            &leaf(7)
+        )
+        .unwrap());
+    assert_eq!(out_degree(), Some(DEGREE as u64 - 1));
+    assert_eq!(hubs_of(7), Some(0));
+    client
+        .delete_vertex(TENANT, GRAPH, "entity", &leaf(DEGREE - 1))
+        .unwrap();
+    assert_eq!(out_degree(), Some(DEGREE as u64 - 2));
+
+    // Deleting the hub walks the tree to unlink every remaining leaf.
+    client
+        .delete_vertex(TENANT, GRAPH, "entity", &Json::str("hub"))
+        .unwrap();
+    assert_eq!(hubs_of(0), Some(0));
+    assert_eq!(hubs_of(DEGREE - 2), Some(0));
+}

@@ -8,7 +8,7 @@ use crate::layout::{ObjHeader, HEADER, STATE_FREE, STATE_LIVE, STATE_TOMBSTONE};
 use crate::pyco::PycoDriver;
 use crate::region::{OldVersion, Region};
 use crate::store::FarmMachine;
-use crate::txn::{compose_object, Hint, ObjBuf, Txn, TxnMode, WriteOp};
+use crate::txn::{compose_object, Hint, ObjBuf, Txn, WriteOp};
 use a1_rdma::{Fabric, FabricConfig, MachineId, NetError, ReadSpec};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -25,8 +25,6 @@ pub struct FarmConfig {
     pub region_size: usize,
     /// Desired replica count (3 in production, §2.1).
     pub replicas: usize,
-    /// Concurrency-control mode; `V2Mvcc` unless running the §5.2 ablation.
-    pub mode: TxnMode,
     /// Retry budget for [`FarmCluster::run`].
     pub max_txn_retries: usize,
     /// How many times a reader re-polls a locked object before giving up.
@@ -43,7 +41,6 @@ impl Default for FarmConfig {
             fabric: FabricConfig::default(),
             region_size: 4 << 20,
             replicas: 3,
-            mode: TxnMode::V2Mvcc,
             max_txn_retries: 256,
             lock_wait_spins: 1_000_000,
             auto_detect_failures: true,
@@ -74,9 +71,6 @@ pub struct ClusterStats {
     pub allocated_objects: AtomicU64,
     pub freed_objects: AtomicU64,
     pub regions_created: AtomicU64,
-    /// V1-mode reads that observed a version newer than the reader's
-    /// snapshot — each one is a potential opacity violation (§5.2).
-    pub opacity_risks: AtomicU64,
 }
 
 /// A running FaRM cluster (the paper's "set of machines each running a FaRM
@@ -207,15 +201,7 @@ impl FarmCluster {
         let read_ts = self.clock.now();
         let guard = self.registry.register(read_ts);
         let tx_id = self.clock.tick();
-        Txn::new(
-            self.clone(),
-            origin,
-            read_ts,
-            tx_id,
-            self.cfg.mode,
-            false,
-            Some(guard),
-        )
+        Txn::new(self.clone(), origin, read_ts, tx_id, false, Some(guard))
     }
 
     /// Begin a read-only snapshot transaction.
@@ -229,15 +215,7 @@ impl FarmCluster {
     /// reads one consistent version across the whole cluster (§3.4).
     pub fn begin_read_only_at(self: &Arc<Self>, origin: MachineId, ts: u64) -> Txn {
         let guard = self.registry.register(ts);
-        Txn::new(
-            self.clone(),
-            origin,
-            ts,
-            0,
-            self.cfg.mode,
-            true,
-            Some(guard),
-        )
+        Txn::new(self.clone(), origin, ts, 0, true, Some(guard))
     }
 
     /// Run a read-write transaction with the canonical retry loop
@@ -878,11 +856,7 @@ impl FarmCluster {
     }
 
     /// Re-check that each read's version is still current and unlocked.
-    pub(crate) fn validate_reads(
-        &self,
-        origin: MachineId,
-        reads: &[(Addr, u64)],
-    ) -> FarmResult<()> {
+    fn validate_reads(&self, origin: MachineId, reads: &[(Addr, u64)]) -> FarmResult<()> {
         for (addr, seen) in reads {
             let h = self.read_header(origin, *addr)?;
             if h.is_locked() || h.version != *seen {
@@ -1003,10 +977,6 @@ impl FarmCluster {
 
     pub(crate) fn note_abort(&self) {
         self.stats.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_opacity_risk(&self) {
-        self.stats.opacity_risks.fetch_add(1, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------- failures
@@ -1239,6 +1209,8 @@ mod tests {
         // The old snapshot still sees 1 (MVCC); a fresh one sees 3.
         let buf = ro.read(ptr).unwrap();
         assert_eq!(u64::from_le_bytes(buf.data()[..8].try_into().unwrap()), 1);
+        // ...and never validates, so the writes under it cannot abort it.
+        assert!(ro.commit().is_ok());
         let mut fresh = c.begin_read_only(MachineId(1));
         let buf = fresh.read(ptr).unwrap();
         assert_eq!(u64::from_le_bytes(buf.data()[..8].try_into().unwrap()), 3);
@@ -1436,38 +1408,6 @@ mod tests {
             tx.alloc(32, Hint::Local, b"more").map(|_| ())
         })
         .unwrap();
-    }
-
-    #[test]
-    fn v1_mode_read_only_queries_abort_under_churn() {
-        let mut cfg = FarmConfig::small(2);
-        cfg.mode = TxnMode::V1Occ;
-        let c = FarmCluster::start(cfg);
-        let ptrs: Vec<Ptr> = (0..8)
-            .map(|i| {
-                c.run(MachineId(0), |tx| tx.alloc(8, Hint::Local, &[i as u8; 8]))
-                    .unwrap()
-            })
-            .collect();
-
-        let mut ro = c.begin_read_only(MachineId(1));
-        // Read half the objects...
-        for p in &ptrs[..4] {
-            ro.read(*p).unwrap();
-        }
-        // ... a writer sneaks in ...
-        c.run(MachineId(0), |tx| {
-            let buf = tx.read(ptrs[0])?;
-            tx.update(&buf, vec![99; 8])
-        })
-        .unwrap();
-        for p in &ptrs[4..] {
-            ro.read(*p).unwrap();
-        }
-        // ... and the read-only txn aborts at commit (V1 pathology, §5.2).
-        assert_eq!(ro.commit(), Err(FarmError::Conflict));
-
-        // Same dance in V2 never aborts (see snapshot_isolation test).
     }
 
     #[test]

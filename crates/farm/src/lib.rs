@@ -14,9 +14,7 @@
 //! * **Transactions** ([`txn`]) — FaRMv2-style strictly-serializable
 //!   optimistic transactions with **opacity** via a global clock and
 //!   multi-version concurrency control (§5.2). Read-only transactions read a
-//!   consistent snapshot and never abort or block updates. A `V1` mode
-//!   without multi-versioning reproduces the abort-rate pathology the paper
-//!   describes, for the ablation benchmark.
+//!   consistent snapshot and never abort or block updates.
 //! * **Distributed B+-trees** ([`btree`]) — high-fanout trees over FaRM
 //!   objects with internal-node caching and fence-key verification (§3.1).
 //! * **Fast restart** ([`pyco`]) — region memory is owned by a simulated
@@ -44,7 +42,7 @@ pub use clock::{
 pub use cluster::{FarmCluster, FarmConfig};
 pub use error::{FarmError, FarmResult};
 pub use layout::ObjHeader;
-pub use txn::{FetchReq, FetchResp, Hint, ObjBuf, Txn, TxnMode};
+pub use txn::{FetchReq, FetchResp, Hint, ObjBuf, Txn};
 
 pub use a1_rdma::{
     ClockSource, ClusterRng, FabricConfig, FaultDecision, FaultInjector, JobClass, LatencyModel,

@@ -5,16 +5,17 @@
 //!   reads a consistent snapshot at that time. This is the opacity property:
 //!   even a transaction that will later abort never observes a torn or
 //!   inconsistent state (the linked-list example of §5.2 cannot happen).
-//! * **Read-only transactions** never lock, never validate, never abort
-//!   (in `V2Mvcc` mode): old versions at primaries serve their snapshot.
+//! * **Read-only transactions** never lock, never validate, never abort:
+//!   old versions at primaries serve their snapshot.
 //! * **Read-write transactions** buffer writes locally (`OpenForWrite`
 //!   semantics); commit locks the write set with one-sided CAS, takes a
 //!   commit timestamp, validates the read set, applies + replicates to
 //!   backups, and unlocks.
-//! * **`V1Occ` mode** (the ablation) disables multi-versioning: reads return
-//!   the latest committed version and *every* transaction — including
-//!   read-only queries — must validate at commit, reproducing the
-//!   high-abort-rate pathology §5.2 describes.
+//!
+//! These are the only semantics: without multi-versioning (FaRMv1) every
+//! read returns the latest version and every transaction, read-only queries
+//! included, must validate at commit — the high-abort-rate pathology §5.2
+//! describes and the reason A1 moved to FaRMv2.
 
 use crate::addr::{Addr, Ptr};
 use crate::clock::TsGuard;
@@ -25,15 +26,6 @@ use a1_rdma::MachineId;
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Concurrency-control mode (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnMode {
-    /// FaRMv1: latest-version reads, commit-time validation for everyone.
-    V1Occ,
-    /// FaRMv2: snapshot reads with MVCC; read-only transactions never abort.
-    V2Mvcc,
-}
 
 /// Allocation placement hint (paper §2.1): `Near` co-locates an object with
 /// an existing one in the same region — the mechanism behind vertex/edge-list
@@ -135,7 +127,6 @@ pub struct Txn {
     origin: MachineId,
     read_ts: u64,
     tx_id: u64,
-    mode: TxnMode,
     read_only: bool,
     _guard: Option<TsGuard>,
     read_set: HashMap<Addr, u64>,
@@ -154,7 +145,6 @@ impl Txn {
         origin: MachineId,
         read_ts: u64,
         tx_id: u64,
-        mode: TxnMode,
         read_only: bool,
         guard: Option<TsGuard>,
     ) -> Txn {
@@ -163,7 +153,6 @@ impl Txn {
             origin,
             read_ts,
             tx_id,
-            mode,
             read_only,
             _guard: guard,
             read_set: HashMap::new(),
@@ -197,7 +186,7 @@ impl Txn {
         self.cluster.fabric().clock().now_ns()
     }
 
-    /// Read an object. In `V2Mvcc`, the result is the object's state at this
+    /// Read an object. The result is the object's state at this
     /// transaction's snapshot; read-write transactions whose snapshot is
     /// already stale abort immediately with `Conflict` (they could never
     /// commit).
@@ -226,7 +215,7 @@ impl Txn {
             };
         }
         let buf = self.read_versioned(ptr)?;
-        if !self.read_only || self.mode == TxnMode::V1Occ {
+        if !self.read_only {
             self.read_set.insert(ptr.addr, buf.version);
         }
         Ok(buf)
@@ -341,10 +330,7 @@ impl Txn {
                 (FetchReq::Read(ptr), Ok((h, payload))) => {
                     if !h.is_committed() {
                         Err(FarmError::NotFound(ptr.addr))
-                    } else if h.version <= self.read_ts || self.mode == TxnMode::V1Occ {
-                        if self.mode == TxnMode::V1Occ && h.version > self.read_ts {
-                            self.cluster.note_opacity_risk();
-                        }
+                    } else if h.version <= self.read_ts {
                         if h.state == STATE_TOMBSTONE {
                             Err(FarmError::NotFound(ptr.addr))
                         } else {
@@ -375,7 +361,7 @@ impl Txn {
                 out[i] = Some(r.map(FetchResp::Obj));
             }
         }
-        if !self.read_only || self.mode == TxnMode::V1Occ {
+        if !self.read_only {
             for (req, slot) in reqs.iter().zip(out.iter()) {
                 if let (FetchReq::Read(ptr), Some(Ok(FetchResp::Obj(buf)))) = (req, slot) {
                     self.read_set.insert(ptr.addr, buf.version);
@@ -422,12 +408,7 @@ impl Txn {
         if !h.is_committed() {
             return Err(FarmError::NotFound(ptr.addr));
         }
-        if h.version <= self.read_ts || self.mode == TxnMode::V1Occ {
-            if self.mode == TxnMode::V1Occ && h.version > self.read_ts {
-                // Non-opaque read: the snapshot this txn started from no
-                // longer holds. Counted for the §5.2 ablation.
-                self.cluster.note_opacity_risk();
-            }
+        if h.version <= self.read_ts {
             if h.state == STATE_TOMBSTONE {
                 return Err(FarmError::NotFound(ptr.addr));
             }
@@ -547,14 +528,6 @@ impl Txn {
         self.finished = true;
 
         if self.writes.is_empty() {
-            // V1 read-only validation: latest-version reads must still hold.
-            if self.mode == TxnMode::V1Occ && !self.read_set.is_empty() {
-                let reads: Vec<(Addr, u64)> = self.read_set.iter().map(|(a, v)| (*a, *v)).collect();
-                if let Err(e) = self.cluster.validate_reads(self.origin, &reads) {
-                    self.cluster.note_abort();
-                    return Err(e);
-                }
-            }
             self.cluster.note_commit();
             return Ok(self.read_ts);
         }

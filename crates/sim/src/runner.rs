@@ -28,9 +28,7 @@ impl SimVerdict {
 }
 
 pub fn repro_command(scenario: &str, seed: u64) -> String {
-    format!(
-        "cargo run --release -p a1-bench --bin experiments -- sim --scenario {scenario} --seed {seed}"
-    )
+    format!("cargo run --release -p a1-sim -- --scenario {scenario} --seed {seed}")
 }
 
 /// Run one scenario at one seed.

@@ -5,9 +5,8 @@
 //! payloads. These generators produce the same *shape* at configurable
 //! scale: the default spec gives "Spielberg" exactly 49 films whose casts
 //! union to ~1639 distinct actors, matching the paper's reported Q1
-//! footprint. A uniform random graph backs the Figure 14 scaling study
-//! (23 M vertices / 63 M edges in the paper, scaled down here), and a
-//! hub-skewed frontier ([`HubSkewGraph`]) exercises intra-machine morsels.
+//! footprint. A hub-skewed frontier ([`HubSkewGraph`]) exercises
+//! intra-machine morsels.
 //!
 //! The generators keep the adjacency they load and answer the evaluation
 //! queries from it ([`KgAnswers`], [`HubSkewGraph::expected_match`]), so
@@ -15,7 +14,6 @@
 //! against another configuration of itself.
 
 use a1_core::{A1Client, A1Cluster, A1Config, Json, MachineId, Mutation};
-use a1_farm::LatencyModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -80,7 +78,7 @@ impl Default for KnowledgeGraphSpec {
 }
 
 impl KnowledgeGraphSpec {
-    /// A small variant for quick tests and CI-speed benches.
+    /// A small variant for quick tests.
     pub fn tiny() -> KnowledgeGraphSpec {
         KnowledgeGraphSpec {
             hub_films: 6,
@@ -92,49 +90,6 @@ impl KnowledgeGraphSpec {
             seed: 0xA1,
         }
     }
-}
-
-/// The knowledge-graph shape the latency-injected suites measure on.
-pub(crate) fn suite_spec(quick: bool) -> KnowledgeGraphSpec {
-    if quick {
-        // Small enough to load in well under a second with latency
-        // injection, big enough that every hop spreads across all machines
-        // with per-machine batches above the ship threshold.
-        KnowledgeGraphSpec {
-            hub_films: 32,
-            actors_per_film: 8,
-            actor_pool: 120,
-            films_per_actor: 2,
-            character_films: 4,
-            payload_bytes: 64,
-            seed: 0xA1,
-        }
-    } else {
-        KnowledgeGraphSpec::default()
-    }
-}
-
-/// The latency model for a suite's measured phase: the default model scaled
-/// so every *network* wait lands in the injector's sleep regime (≥200 µs,
-/// where concurrent waits genuinely overlap even on a 1-core CI runner)
-/// while local reads stay near-free. Think of it as a loaded/oversubscribed
-/// network: the local/remote asymmetry that drives the paper's design is
-/// preserved, just magnified.
-pub(crate) fn measured_latency() -> LatencyModel {
-    LatencyModel {
-        local_read_ns: 100,
-        rack_rtt_ns: 1_000_000,
-        cross_rack_rtt_ns: 2_000_000,
-        per_kib_ns: 2_000,
-        rpc_overhead_ns: 1_000_000,
-    }
-}
-
-/// Nearest-rank percentile (rank rounded up), so p99 over a small sample is
-/// the maximum rather than silently dropping the tail.
-pub(crate) fn percentile(sorted_ns: &[u64], pct: usize) -> u64 {
-    let rank = (sorted_ns.len() * pct).div_ceil(100);
-    sorted_ns[rank.saturating_sub(1).min(sorted_ns.len() - 1)]
 }
 
 /// Typed out-neighbour sets of a generated graph, keyed by vertex id: the
@@ -427,78 +382,6 @@ impl KnowledgeGraph {
     }
 }
 
-/// Uniform random graph for the Figure 14 scaling study.
-#[derive(Debug, Clone)]
-pub struct UniformGraphSpec {
-    pub vertices: usize,
-    pub edges: usize,
-    pub seed: u64,
-}
-
-impl UniformGraphSpec {
-    /// The paper's 23 M / 63 M dataset scaled by `factor` (e.g. 1000 → 23 k
-    /// vertices).
-    pub fn paper_scaled(factor: usize) -> UniformGraphSpec {
-        UniformGraphSpec {
-            vertices: (23_000_000 / factor).max(100),
-            edges: (63_000_000 / factor).max(300),
-            seed: 0x14,
-        }
-    }
-
-    /// Load into a cluster; returns query start ids.
-    pub fn load(&self, cluster: &A1Cluster) -> Vec<String> {
-        let client = cluster.client();
-        client.create_tenant(TENANT).unwrap();
-        client.create_graph(TENANT, GRAPH).unwrap();
-        client
-            .create_vertex_type(TENANT, GRAPH, ENTITY_SCHEMA, "id", &[])
-            .unwrap();
-        client
-            .create_edge_type(TENANT, GRAPH, r#"{"name": "link", "fields": []}"#)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for v in 0..self.vertices {
-            client
-                .create_vertex(TENANT, GRAPH, "entity", &format!(r#"{{"id": "v{v:07}"}}"#))
-                .unwrap();
-        }
-        let mut made = 0usize;
-        while made < self.edges {
-            let a = rng.gen_range(0..self.vertices);
-            let b = rng.gen_range(0..self.vertices);
-            if a == b {
-                continue;
-            }
-            let r = client.create_edge(
-                TENANT,
-                GRAPH,
-                "entity",
-                &Json::str(&format!("v{a:07}")),
-                "link",
-                "entity",
-                &Json::str(&format!("v{b:07}")),
-                None,
-            );
-            if r.is_ok() {
-                made += 1;
-            }
-        }
-        (0..32.min(self.vertices))
-            .map(|i| format!("v{:07}", i * (self.vertices / 32).max(1)))
-            .collect()
-    }
-
-    /// The 2-hop query used for Figure 14.
-    pub fn two_hop_query(start: &str) -> String {
-        format!(
-            r#"{{ "id": "{start}", "_out_edge": {{ "_type": "link",
-                "_vertex": {{ "_out_edge": {{ "_type": "link",
-                "_vertex": {{ "_select": ["_count(*)"] }}}}}}}}}}"#
-        )
-    }
-}
-
 /// Graph name of the hub-skew workload (tenant is [`TENANT`]).
 pub const HUB_SKEW_GRAPH: &str = "hub-skew";
 
@@ -680,22 +563,5 @@ mod tests {
             .query(TENANT, HUB_SKEW_GRAPH, &HubSkewGraph::match_query())
             .unwrap();
         assert_eq!(out.count, Some(g.expected_match));
-    }
-
-    #[test]
-    fn uniform_graph_loads() {
-        let cluster = A1Cluster::start(A1Config::small(3)).unwrap();
-        let spec = UniformGraphSpec {
-            vertices: 200,
-            edges: 500,
-            seed: 1,
-        };
-        let starts = spec.load(&cluster);
-        assert!(!starts.is_empty());
-        let client = cluster.client();
-        let out = client
-            .query(TENANT, GRAPH, &UniformGraphSpec::two_hop_query(&starts[0]))
-            .unwrap();
-        assert!(out.count.is_some());
     }
 }

@@ -6,8 +6,8 @@
 //! cargo run --release --example knowledge_graph
 //! ```
 
-use a1_bench::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 use a1_core::A1Config;
+use a1_workload::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 
 fn main() {
     println!("loading synthetic knowledge graph (hub director: 49 films)...");

@@ -7,7 +7,7 @@
 //! ```
 
 use a1::core::{A1Config, A1Error, AdmissionConfig, MachineId};
-use a1_bench::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
+use a1_workload::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 

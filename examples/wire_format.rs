@@ -12,11 +12,11 @@
 //! cargo run --release --example wire_format
 //! ```
 
-use a1_bench::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 use a1_core::query::exec::{CompiledStep, WorkOp};
 use a1_core::query::plan::{AttrPredicate, CmpOp, Select};
 use a1_core::{wire, A1Config, Json, WireFormat};
 use a1_farm::{Addr, RegionId};
+use a1_workload::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 
 fn main() {
     // ---- 1. One message, two encodings -------------------------------

@@ -5,7 +5,7 @@
 //! from a stale entry.
 
 use a1::core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation};
-use a1_bench::cache::{
+use a1_workload::cache::{
     build_graph, count_query, render, rows_query, CacheGraphSpec, GRAPH, TENANT, UNCACHED_CLIENT,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,7 +53,7 @@ fn with_churn(cluster: &A1Cluster, hubs: usize, body: impl FnOnce()) -> u64 {
             let mut salt = w;
             while !stop.load(Ordering::Relaxed) {
                 let i = (salt as usize) % hubs;
-                // Hubs live on machine 0 (the bench builder pins them), so
+                // Hubs live on machine 0 (the builder pins them), so
                 // rewrite them there; every commit invalidates the touched
                 // addresses on every backend's cache.
                 if client

@@ -6,7 +6,7 @@
 //! overlap, without parking a coordinator-pool worker per ship.
 
 use a1::core::{A1Config, Json, MachineId, QueryOutcome};
-use a1_bench::workload::{KgAnswers, KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
+use a1_workload::workload::{KgAnswers, KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -270,7 +270,7 @@ use a1::core::query::exec::{self, CompiledStep, WorkOp};
 use a1::core::query::plan::Select;
 use a1::core::Mutation;
 use a1::farm::{Addr, RegionId};
-use a1_bench::workload::{HubSkewGraph, HubSkewSpec, HUB_SKEW_GRAPH};
+use a1_workload::workload::{HubSkewGraph, HubSkewSpec, HUB_SKEW_GRAPH};
 
 /// A 4-machine × 4-core cluster whose hop-2 frontier is ~90% owned by
 /// machine 0 (the hub-skew shape the morsel split exists for).

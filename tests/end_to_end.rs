@@ -1,8 +1,8 @@
 //! Workspace-level integration: the full stack from workload generation
 //! through distributed query execution, across all crates.
 
-use a1::core::{A1Config, Json};
-use a1_bench::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
+use a1::core::{A1Config, Json, WireFormat};
+use a1_workload::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 
 #[test]
 fn knowledge_graph_queries_end_to_end() {
@@ -10,26 +10,84 @@ fn knowledge_graph_queries_end_to_end() {
 
     // Q1: the hub director's collaborators, deduplicated.
     let q1 = kg.client.query(TENANT, GRAPH, &kg.q1()).unwrap();
-    let count = q1.count.unwrap();
-    assert!(count > 0 && count <= kg.spec.actor_pool as u64);
+    assert_eq!(q1.count, Some(kg.answers.q1));
     assert_eq!(q1.metrics.hops, 2);
 
     // The same query with rows instead of a count returns `count` rows.
     let rows_q = kg.q1().replace("_count(*)", "*");
     let q1_rows = kg.client.query(TENANT, GRAPH, &rows_q).unwrap();
-    assert_eq!(q1_rows.rows.len() as u64, count);
+    assert_eq!(q1_rows.rows.len() as u64, kg.answers.q1);
 
-    // Q2 finds only Batman performers (one per character film at most).
+    // Q2 finds only Batman performers.
     let q2 = kg.client.query(TENANT, GRAPH, &kg.q2()).unwrap();
-    assert!(q2.count.unwrap() <= kg.spec.character_films as u64);
+    assert_eq!(q2.count, Some(kg.answers.q2));
 
-    // Q3's star pattern is a subset of the director's films.
+    // Q3's star pattern: the director's war films with the hub actor.
     let q3 = kg.client.query(TENANT, GRAPH, &kg.q3()).unwrap();
-    assert!(q3.rows.len() <= kg.spec.hub_films);
+    let mut names: Vec<&str> = q3
+        .rows
+        .iter()
+        .map(|r| r.get("name[0]").and_then(Json::as_str).expect("name[0]"))
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, kg.answers.q3);
 
     // Q4 stress traversal touches the most vertices of the four.
     let q4 = kg.client.query(TENANT, GRAPH, &kg.q4()).unwrap();
+    assert_eq!(q4.count, Some(kg.answers.q4));
     assert!(q4.metrics.vertices_read >= q2.metrics.vertices_read);
+}
+
+/// The wire gate: under either format Q1 and Q4 give the generator's
+/// answers, and the binary wire carries each leg — requests and replies —
+/// in at most 60 % of the JSON wire's bytes.
+#[test]
+fn binary_wire_answers_like_json_in_at_most_60_percent_of_the_bytes() {
+    const MACHINES: u32 = 8;
+    // Every hop spreads over all eight machines with per-machine batches
+    // above the ship threshold, so work ops and their results cross the
+    // wire on both queries.
+    let spec = KnowledgeGraphSpec {
+        hub_films: 32,
+        actors_per_film: 8,
+        actor_pool: 120,
+        films_per_actor: 2,
+        character_films: 4,
+        payload_bytes: 64,
+        seed: 0xA1,
+    };
+    // (request bytes, reply bytes) for Q1, then for Q4.
+    let measure = |fmt: WireFormat| {
+        let cfg = A1Config::small(MACHINES).with_wire_format(fmt);
+        let kg = KnowledgeGraph::load(cfg, spec.clone());
+        let metrics = kg.cluster.farm().fabric().metrics();
+        [(kg.q1(), kg.answers.q1), (kg.q4(), kg.answers.q4)].map(|(q, want)| {
+            // The front door picks coordinators round-robin: one round
+            // warms every backend and the next is measured, so the bytes do
+            // not depend on where the rotation stands.
+            let round = || {
+                for _ in 0..MACHINES {
+                    let out = kg.client.query(TENANT, GRAPH, &q).unwrap();
+                    assert_eq!(out.count, Some(want), "wrong answer under {fmt:?}");
+                }
+            };
+            round();
+            let before = metrics.snapshot();
+            round();
+            let delta = metrics.snapshot().delta_since(&before);
+            (delta.rpc_req_bytes, delta.rpc_reply_bytes)
+        })
+    };
+    let json = measure(WireFormat::Json);
+    let binary = measure(WireFormat::Binary);
+    for (query, (j, b)) in ["Q1", "Q4"].iter().zip(json.iter().zip(&binary)) {
+        for (leg, j, b) in [("request", j.0, b.0), ("reply", j.1, b.1)] {
+            assert!(
+                b > 0 && b * 100 <= j * 60,
+                "{query} {leg}s: binary {b} B is not within 60 % of JSON's {j} B"
+            );
+        }
+    }
 }
 
 #[test]

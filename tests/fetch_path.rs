@@ -5,7 +5,7 @@
 
 use a1::core::query::exec::HopStats;
 use a1::core::{A1Cluster, A1Config, CacheConfig, Json, MachineId, Mutation, QueryOutcome};
-use a1_bench::cache::{
+use a1_workload::cache::{
     build_graph, count_query, render, rows_query, CacheGraphSpec, GRAPH, TENANT, UNCACHED_CLIENT,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -120,6 +120,24 @@ fn warm_probes_coalesce_and_answers_match_reference_under_churn() {
             "warm probes did not coalesce: {} posts for {} morsels",
             hop.fetch_verbs,
             hop.morsels
+        );
+    }
+
+    // The bypass client never consults the cache, and a hit counts as a
+    // local read: the payload did not cross the wire.
+    for q in &queries {
+        let cached = coord("reader", q).metrics;
+        let bypass = coord(UNCACHED_CLIENT, q).metrics;
+        assert_eq!(
+            bypass.cache_hits + bypass.cache_misses,
+            0,
+            "bypass client touched the cache"
+        );
+        assert!(
+            cached.local_read_fraction() > bypass.local_read_fraction(),
+            "hits did not raise the local-read fraction ({} vs {})",
+            cached.local_read_fraction(),
+            bypass.local_read_fraction()
         );
     }
 

@@ -7,7 +7,7 @@
 //! and single-machine clusters pin request routing.
 
 use a1::core::{A1Config, A1Error, AdmissionConfig, MachineId, WireFormat};
-use a1_bench::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
+use a1_workload::workload::{KnowledgeGraph, KnowledgeGraphSpec, GRAPH, TENANT};
 
 const M0: MachineId = MachineId(0);
 
